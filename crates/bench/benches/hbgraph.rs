@@ -1,11 +1,9 @@
 //! HB-graph construction and reachability cost versus trace size — the
-//! quadratic-memory, near-linear-time behaviour behind paper §3.2.2 and
-//! Table 6's "Trace Analysis" column ("it scales well, roughly linearly,
-//! with the trace size"). Writes `BENCH_hbgraph.json`.
+//! near-linear-time behaviour behind Table 6's "Trace Analysis" column
+//! ("it scales well, roughly linearly, with the trace size"). Writes
+//! `BENCH_hbgraph.json`.
 
-use dcatch::{
-    find_candidates, HbAnalysis, HbConfig, ReachabilityMode, SimConfig, VectorClocks, World,
-};
+use dcatch::{find_candidates, HbAnalysis, HbConfig, SimConfig, VectorClocks, World};
 use dcatch_bench::harness::Harness;
 use dcatch_model::{FuncId, NodeId, StmtId};
 use dcatch_trace::{
@@ -17,7 +15,7 @@ use dcatch_trace::{
 /// `q0`, and the handler of the i-th event on `q<j>` creates the i-th
 /// event of `q<j+1>`. `Create(e_{j,a}) ⇒ Create(e_{j,b})` only becomes
 /// visible once layer `j-1`'s `End ⇒ Begin` edges exist, so the old
-/// full-recompute implementation pays a complete reachability sweep per
+/// full-recompute implementation paid a complete reachability sweep per
 /// layer — the worst case the incremental propagation is built for.
 fn layered_queue_trace(layers: usize, events: usize) -> TraceSet {
     let node = NodeId(0);
@@ -133,12 +131,10 @@ fn main() {
         h.bench(id, 10, || find_candidates(&hb).static_pair_count());
     }
 
-    // The two reachability engines head to head (DESIGN.md §4): same
-    // trace, forced engine, measuring full build plus a strided
-    // concurrent() query sweep, with the index's resident bytes recorded
-    // alongside. `scripts/bench_compare.sh` gates on this group: clocks
-    // must use ≥4× less memory at the largest size and stay within 1.15×
-    // of the matrix's build+query time at the smallest.
+    // The chain-clock reachability engine (DESIGN.md §4): full build plus
+    // a strided concurrent() query sweep, with the index's resident bytes
+    // recorded alongside. `scripts/bench_compare.sh` gates these entries
+    // against the committed baseline like every other bench entry.
     h.group("reachability");
     for scale in [2u32, 8, 16] {
         let bench = dcatch::all_benchmarks_scaled(scale)
@@ -150,31 +146,25 @@ fn main() {
             .with_full_tracing();
         let run = World::run_once(&bench.program, &bench.topology, cfg).unwrap();
         let n = run.trace.len();
-        for mode in [ReachabilityMode::Matrix, ReachabilityMode::Clocks] {
-            let hb_cfg = HbConfig {
-                reachability: mode,
-                ..HbConfig::default()
-            };
-            let bytes = HbAnalysis::build(run.trace.clone(), &hb_cfg)
-                .unwrap()
-                .reach_bytes() as u64;
-            h.bench_with_bytes(&format!("{mode}_{n}rec"), 10, bytes, || {
-                let hb = HbAnalysis::build(run.trace.clone(), &hb_cfg).unwrap();
-                // identical strided query sweep under both engines
-                let step = (n / 192).max(1);
-                let mut concurrent = 0usize;
-                let mut i = 0;
-                while i < n {
-                    let mut j = i + step;
-                    while j < n {
-                        concurrent += usize::from(hb.concurrent(i, j));
-                        j += step;
-                    }
-                    i += step;
+        let hb_cfg = HbConfig::default();
+        let bytes = HbAnalysis::build(run.trace.clone(), &hb_cfg)
+            .unwrap()
+            .reach_bytes() as u64;
+        h.bench_with_bytes(&format!("clocks_{n}rec"), 10, bytes, || {
+            let hb = HbAnalysis::build(run.trace.clone(), &hb_cfg).unwrap();
+            let step = (n / 192).max(1);
+            let mut concurrent = 0usize;
+            let mut i = 0;
+            while i < n {
+                let mut j = i + step;
+                while j < n {
+                    concurrent += usize::from(hb.concurrent(i, j));
+                    j += step;
                 }
-                concurrent
-            });
-        }
+                i += step;
+            }
+            concurrent
+        });
     }
 
     h.group("reachability_index");
@@ -189,11 +179,6 @@ fn main() {
         let run = World::run_once(&bench.program, &bench.topology, cfg).unwrap();
         let n = run.trace.len();
         let hb = HbAnalysis::build(run.trace, &HbConfig::default()).unwrap();
-        h.bench(&format!("bitset_{n}rec"), 10, || {
-            // rebuild the whole analysis: graph + bit-matrix sweep
-            let hb2 = HbAnalysis::build(hb.trace().clone(), &HbConfig::default()).unwrap();
-            hb2.edge_count()
-        });
         h.bench(&format!("vector_clocks_{n}rec"), 10, || {
             let vc = VectorClocks::compute(&hb);
             vc.dimensions()

@@ -11,7 +11,7 @@
 
 use dcatch::{
     find_candidates, HbAnalysis, HbConfig, OnlineDetector, OnlineOptions, Pipeline,
-    PipelineOptions, ReachabilityMode, SimConfig, World,
+    PipelineOptions, SimConfig, World,
 };
 use dcatch_bench::harness::Harness;
 
@@ -42,13 +42,9 @@ fn main() {
         // reachability index is `records × chains` (chains grow with the
         // ping-pong rounds), so 120k records already estimate ~9.6 GB and
         // OOM the default budget — the infeasibility the streaming mode
-        // removes. Chain clocks are the offline mode's cheaper engine, so
-        // the memory gate compares against its *stronger* baseline.
+        // removes.
         if records <= 30_000 {
-            let hb_cfg = HbConfig {
-                reachability: ReachabilityMode::Clocks,
-                ..HbConfig::default()
-            };
+            let hb_cfg = HbConfig::default();
             let offline = || {
                 let run = World::run_once(&p, &topo, cfg.clone()).unwrap();
                 assert!(run.failures.is_empty(), "{:?}", run.failures);

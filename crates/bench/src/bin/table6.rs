@@ -3,11 +3,9 @@
 //! measurement scale so the numbers are meaningful
 //! (`--release` strongly recommended).
 //!
-//! Usage: `table6 [scale] [auto|matrix|clocks]`. The engine defaults to
-//! `auto`, which on selective traces picks the bit matrix — pass `clocks`
-//! to measure trace analysis under the chain-clock engine.
+//! Usage: `table6 [scale]`.
 
-use dcatch::{Pipeline, PipelineOptions, ReachabilityMode};
+use dcatch::{Pipeline, PipelineOptions};
 use dcatch_bench::{fmt_bytes, fmt_duration, render_table, MEASURE_SCALE};
 
 fn main() {
@@ -15,15 +13,10 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(MEASURE_SCALE);
-    let reachability: ReachabilityMode = std::env::args()
-        .nth(2)
-        .map(|s| s.parse().expect("reachability engine"))
-        .unwrap_or_default();
     let mut rows = Vec::new();
     for b in dcatch::all_benchmarks_scaled(scale) {
         let mut opts = PipelineOptions::fast();
         opts.measure_base = true;
-        opts.hb.reachability = reachability;
         let r = Pipeline::run(&b, &opts).expect("pipeline");
         let t = r.timings;
         rows.push(vec![
@@ -36,7 +29,7 @@ fn main() {
             fmt_bytes(r.trace_bytes),
         ]);
     }
-    println!("Table 6: DCatch performance results (workload scale {scale}, engine {reachability})");
+    println!("Table 6: DCatch performance results (workload scale {scale})");
     println!("(Base = execution without tracing; LP time reported separately,");
     println!("the paper folds it in as negligible)\n");
     println!(

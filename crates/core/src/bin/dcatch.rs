@@ -65,8 +65,8 @@
 //!                    --streaming; exceeding it force-evicts (lossy,
 //!                    recorded as a degradation)
 //!   --ablation K     ignore one HB rule family: event|rpc|socket|push
-//!   --budget BYTES   HB reachability memory budget
-//!   --reachability E reachability engine: auto (default) | matrix | clocks
+//!   --budget BYTES   HB reachability memory budget (the chain-clock
+//!                    index needs records × chains × 4 bytes)
 //!   --jobs N         run up to N benchmarks concurrently (default 1);
 //!                    the report is identical for any N
 //!   --trigger-jobs N explore (candidate, ordering) triggering jobs on up
@@ -81,8 +81,8 @@
 //!                    `faults`, where it bounds each scenario × seed run)
 //!   --mem-budget B   resource-governor memory budget (bytes, or `512k`,
 //!                    `64m`, `1g`); the pipeline degrades — sampled
-//!                    tracing, chunked/chain-clock analysis — instead of
-//!                    dying when a stage would exceed it
+//!                    tracing, chunked analysis — instead of dying when a
+//!                    stage would exceed it
 //!   --time-budget S  resource-governor wall-clock budget in seconds;
 //!                    remaining optional stages are skipped and triggering
 //!                    is cancelled once it expires
@@ -238,7 +238,6 @@ const DETECT_VALUED: &[&str] = &[
     "--seed",
     "--ablation",
     "--budget",
-    "--reachability",
     "--out",
     "--jobs",
     "--trigger-jobs",
@@ -270,9 +269,6 @@ fn build_options(args: &[String]) -> Result<PipelineOptions, String> {
     }
     if let Some(budget) = opt::<usize>(args, "--budget")? {
         opts.hb.memory_budget_bytes = budget;
-    }
-    if let Some(engine) = opt_str(args, "--reachability") {
-        opts.hb.reachability = engine.parse()?;
     }
     if let Some(k) = opt_str(args, "--ablation") {
         opts.ablation = match k.as_str() {

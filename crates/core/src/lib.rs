@@ -63,7 +63,7 @@ pub use dcatch_detect::{
 };
 pub use dcatch_hb::{
     apply_ablation, Ablation, BitMatrix, ChainClocks, EdgeRule, HbAnalysis, HbConfig, HbError,
-    ReachabilityMode, VectorClocks,
+    VectorClocks,
 };
 pub use dcatch_model::{Expr, FailureSpec, FuncKind, Program, ProgramBuilder, StmtId, Value};
 pub use dcatch_prune::{Impact, PruneStats, Pruner};

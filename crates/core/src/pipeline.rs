@@ -9,8 +9,7 @@ use dcatch_detect::{
     OnlineDetector, OnlineOptions,
 };
 use dcatch_hb::{
-    apply_ablation, Ablation, BitMatrix, ChainClocks, FrontierOptions, HbAnalysis, HbConfig,
-    HbError, ReachabilityMode,
+    apply_ablation, Ablation, ChainClocks, FrontierOptions, HbAnalysis, HbConfig, HbError,
 };
 use dcatch_obs::budget::{self, Budget, DegradationEvent, DegradeMode};
 use dcatch_prune::{Impact, Pruner};
@@ -453,18 +452,12 @@ impl Pipeline {
         if let Some(m) = gov_mem {
             hb_cfg.memory_budget_bytes = hb_cfg.memory_budget_bytes.min(m);
         }
-        // Mirror HbAnalysis::build's engine selection on deterministic size
-        // estimates, so the governor can step down *before* committing to a
-        // build that would return OutOfMemory.
+        // The same deterministic size estimate HbAnalysis::build checks, so
+        // the governor can step down *before* committing to a build that
+        // would return OutOfMemory.
         let n = analyzed.len();
-        let matrix_bytes = BitMatrix::estimated_bytes(n);
-        let clock_bytes = ChainClocks::estimated_bytes(n, ChainClocks::chain_count(&analyzed));
-        let needed = match hb_cfg.reachability {
-            ReachabilityMode::Matrix => matrix_bytes,
-            ReachabilityMode::Clocks => clock_bytes,
-            ReachabilityMode::Auto if matrix_bytes <= hb_cfg.memory_budget_bytes => matrix_bytes,
-            ReachabilityMode::Auto => clock_bytes,
-        };
+        let chains = ChainClocks::chain_count(&analyzed);
+        let needed = ChainClocks::estimated_bytes(n, chains);
         let oom_report = |e: HbError, trace_stats, trace_bytes| BenchmarkReport {
             id: bench.id.to_owned(),
             trace_stats,
@@ -493,14 +486,15 @@ impl Pipeline {
         let mut candidates;
         if needed > hb_cfg.memory_budget_bytes && gov_mem.is_some() {
             // ---- governor rung: chunked trace analysis (§7.2) ----------
-            let mut chunk = (((hb_cfg.memory_budget_bytes.saturating_mul(8)) as f64).sqrt()
-                as usize)
-                .clamp(64, n.max(64));
-            // rows are word-granular, so small matrices cost more than
-            // bits/8; walk the guess down until the estimate honestly fits
-            while chunk > 64 && BitMatrix::estimated_bytes(chunk) > hb_cfg.memory_budget_bytes {
-                chunk = chunk.saturating_sub(64).max(64);
-            }
+            // the largest chunk whose index fits: a chunk of `c` records
+            // spans at most `min(c, chains)` chains. `needed > budget`
+            // means the whole trace does not fit, so the search stays
+            // below `n`; a budget too small for one record still yields
+            // chunk 1, whose build reports the OOM.
+            let fits = |c: usize| {
+                ChainClocks::estimated_bytes(c, c.min(chains)) <= hb_cfg.memory_budget_bytes
+            };
+            let chunk = (1..n).take_while(|&c| fits(c)).last().unwrap_or(1);
             match find_candidates_chunked(&analyzed, &hb_cfg, chunk) {
                 Ok((set, stats)) => {
                     budget::record(DegradationEvent {
@@ -521,23 +515,6 @@ impl Pipeline {
         } else {
             match HbAnalysis::build(analyzed, &hb_cfg) {
                 Ok(h) => {
-                    // engine rung: record when the governed budget — not the
-                    // user's own HB config — is what forced clocks
-                    if gov_mem.is_some()
-                        && opts.hb.reachability == ReachabilityMode::Auto
-                        && h.reachability() == ReachabilityMode::Clocks
-                        && matrix_bytes <= opts.hb.memory_budget_bytes
-                    {
-                        budget::record(DegradationEvent {
-                            stage: "trace_analysis".to_owned(),
-                            from: "matrix".to_owned(),
-                            to: "clocks".to_owned(),
-                            reason: format!(
-                                "matrix needs {matrix_bytes} B, budget {} B",
-                                hb_cfg.memory_budget_bytes
-                            ),
-                        });
-                    }
                     candidates = find_candidates(&h);
                     hb = Some(h);
                 }

@@ -7,10 +7,10 @@
 //! LCbug detection tools."
 //!
 //! [`find_candidates_chunked`] splits the trace into consecutive windows,
-//! builds an HB graph per window (bounding the reachable-set matrix to
-//! `chunk² / 8` bytes), and unions the per-window candidates. The
-//! trade-offs are inherent to chunking and documented here rather than
-//! hidden:
+//! builds an HB graph per window (bounding the chain-clock index to
+//! `chunk × min(chunk, G) × 4` bytes over `G` chains), and unions the
+//! per-window candidates. The trade-offs are inherent to chunking and
+//! documented here rather than hidden:
 //!
 //! * racing pairs whose accesses fall into *different* chunks are missed
 //!   (false negatives);
@@ -30,16 +30,16 @@ pub struct ChunkStats {
     pub chunks: usize,
     /// Records in the largest chunk.
     pub largest_chunk: usize,
-    /// Peak reachability-index bytes across chunks, as reported by
-    /// whichever engine each chunk's build actually selected (matrix:
-    /// O(len²) bits; clocks: `len × G × 4` bytes).
-    pub peak_matrix_bytes: usize,
+    /// Peak reachability-index bytes across chunks (`len × G × 4` for a
+    /// chunk of `len` records over `G` chains).
+    pub peak_reach_bytes: usize,
 }
 
 /// Runs candidate detection chunk by chunk. `chunk_records` bounds the
-/// per-chunk HB matrix; the per-chunk analyses still honour
-/// `config.memory_budget_bytes`, so pick `chunk_records` ≤
-/// `sqrt(8 × budget)`.
+/// per-chunk reachability index; the per-chunk analyses still honour
+/// `config.memory_budget_bytes`, so pick `chunk_records` with
+/// `ChainClocks::estimated_bytes(chunk_records, chunk_records.min(G))`
+/// within the budget.
 pub fn find_candidates_chunked(
     trace: &TraceSet,
     config: &HbConfig,
@@ -53,7 +53,7 @@ pub fn find_candidates_chunked(
             ChunkStats {
                 chunks: 0,
                 largest_chunk: 0,
-                peak_matrix_bytes: 0,
+                peak_reach_bytes: 0,
             },
         ));
     }
@@ -61,7 +61,7 @@ pub fn find_candidates_chunked(
     let mut stats = ChunkStats {
         chunks: 0,
         largest_chunk: 0,
-        peak_matrix_bytes: 0,
+        peak_reach_bytes: 0,
     };
     let records = trace.records();
     let mut start = 0usize;
@@ -74,7 +74,7 @@ pub fn find_candidates_chunked(
         stats.chunks += 1;
         stats.largest_chunk = stats.largest_chunk.max(len);
         let hb = HbAnalysis::build(chunk, config)?;
-        stats.peak_matrix_bytes = stats.peak_matrix_bytes.max(hb.reach_bytes());
+        stats.peak_reach_bytes = stats.peak_reach_bytes.max(hb.reach_bytes());
         for mut c in find_candidates(&hb) {
             // remap chunk-local record indices to the full trace; the
             // map-backed set dedups static pairs in O(log n)
@@ -90,6 +90,7 @@ pub fn find_candidates_chunked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcatch_hb::ChainClocks;
     use dcatch_model::{Expr, FuncKind, ProgramBuilder};
     use dcatch_sim::{SimConfig, Topology, World};
 
@@ -125,22 +126,22 @@ mod tests {
     fn chunking_fits_under_a_budget_that_ooms_the_whole_trace() {
         let trace = racy_trace();
         let n = trace.len();
-        // a budget the whole trace cannot fit, but 1/4-size chunks can;
-        // the matrix engine is pinned because `auto` would sidestep the
-        // OOM entirely by falling back to chain clocks
-        let budget = dcatch_hb::BitMatrix::estimated_bytes(n / 2);
+        // a budget the whole trace cannot fit, but 1/4-size chunks can:
+        // a chunk of n/4 records spans at most min(n/4, G) chains
+        let g = ChainClocks::chain_count(&trace);
+        let chunk = n / 4;
+        let budget = ChainClocks::estimated_bytes(chunk, chunk.min(g));
         let cfg = HbConfig {
             memory_budget_bytes: budget,
-            reachability: dcatch_hb::ReachabilityMode::Matrix,
             ..HbConfig::default()
         };
         assert!(
             HbAnalysis::build(trace.clone(), &cfg).is_err(),
             "whole trace must OOM"
         );
-        let (found, stats) = find_candidates_chunked(&trace, &cfg, n / 4).unwrap();
+        let (found, stats) = find_candidates_chunked(&trace, &cfg, chunk).unwrap();
         assert!(stats.chunks >= 3);
-        assert!(stats.peak_matrix_bytes <= budget);
+        assert!(stats.peak_reach_bytes <= budget);
         // the race may or may not land inside one chunk; what matters here
         // is that the analysis completed under the budget
         let _ = found;

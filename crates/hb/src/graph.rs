@@ -6,7 +6,6 @@ use std::fmt;
 use dcatch_obs::{counter, gauge};
 use dcatch_trace::{EventId, ExecCtx, OpKind, TaskId, TraceSet};
 
-use crate::bitmatrix::BitMatrix;
 use crate::chainclocks::ChainClocks;
 
 /// Which rule produced an edge (kept for explanations and debugging).
@@ -37,47 +36,6 @@ pub enum EdgeRule {
     Crash,
 }
 
-/// Which reachability index backs `happens_before`/`concurrent`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReachabilityMode {
-    /// Pick per trace: the dense [`BitMatrix`] when it fits the memory
-    /// budget (fastest queries, preserves historical behavior), otherwise
-    /// chain-decomposition [`ChainClocks`] — so full-trace detection keeps
-    /// working at scales where the matrix alone would be the Table 8
-    /// "Out of Memory" outcome.
-    #[default]
-    Auto,
-    /// Force the dense O(n²)-bit matrix.
-    Matrix,
-    /// Force the O(n·G) chain-decomposition vector clocks.
-    Clocks,
-}
-
-impl fmt::Display for ReachabilityMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ReachabilityMode::Auto => "auto",
-            ReachabilityMode::Matrix => "matrix",
-            ReachabilityMode::Clocks => "clocks",
-        })
-    }
-}
-
-impl std::str::FromStr for ReachabilityMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ReachabilityMode, String> {
-        match s {
-            "auto" => Ok(ReachabilityMode::Auto),
-            "matrix" => Ok(ReachabilityMode::Matrix),
-            "clocks" => Ok(ReachabilityMode::Clocks),
-            other => Err(format!(
-                "unknown reachability engine `{other}` (expected auto, matrix or clocks)"
-            )),
-        }
-    }
-}
-
 /// Configuration of the HB analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HbConfig {
@@ -88,8 +46,6 @@ pub struct HbConfig {
     /// Whether to apply `Eserial` (it requires a fixed point and is the
     /// only rule with non-local preconditions; kept togglable for tests).
     pub apply_eserial: bool,
-    /// Which reachability engine to use (see [`ReachabilityMode`]).
-    pub reachability: ReachabilityMode,
 }
 
 impl Default for HbConfig {
@@ -97,7 +53,6 @@ impl Default for HbConfig {
         HbConfig {
             memory_budget_bytes: 1 << 30, // 1 GiB
             apply_eserial: true,
-            reachability: ReachabilityMode::Auto,
         }
     }
 }
@@ -105,10 +60,10 @@ impl Default for HbConfig {
 /// Failure of the HB analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HbError {
-    /// The reachable-set matrix would exceed the configured budget — the
+    /// The reachability index would exceed the configured budget — the
     /// Table 8 "Out of Memory" outcome.
     OutOfMemory {
-        /// Bytes the matrix would need.
+        /// Bytes the index would need.
         needed: usize,
         /// Configured budget.
         budget: usize,
@@ -120,50 +75,13 @@ impl fmt::Display for HbError {
         match self {
             HbError::OutOfMemory { needed, budget } => write!(
                 f,
-                "HB analysis out of memory: reachable sets need {needed} bytes (budget {budget})"
+                "HB analysis out of memory: reachability index needs {needed} bytes (budget {budget})"
             ),
         }
     }
 }
 
 impl std::error::Error for HbError {}
-
-/// The active reachability index: dense reachable-set matrix or
-/// chain-decomposition vector clocks (see [`ReachabilityMode`]). Both are
-/// exact; they trade query constant factor against memory footprint.
-#[derive(Debug, Clone, PartialEq)]
-enum ReachIndex {
-    Matrix(BitMatrix),
-    Clocks(ChainClocks),
-}
-
-impl ReachIndex {
-    /// Number of indexed vertices.
-    fn len(&self) -> usize {
-        match self {
-            ReachIndex::Matrix(m) => m.len(),
-            ReachIndex::Clocks(c) => c.len(),
-        }
-    }
-
-    /// Resident bytes of the index.
-    fn bytes(&self) -> usize {
-        match self {
-            ReachIndex::Matrix(m) => BitMatrix::estimated_bytes(m.len()),
-            ReachIndex::Clocks(c) => c.bytes(),
-        }
-    }
-
-    /// Raw reachability; callers guard `a != b` (the matrix's diagonal is
-    /// unset while clocks are reflexive, so `a == b` is the one input the
-    /// engines answer differently).
-    fn reaches(&self, a: usize, b: usize) -> bool {
-        match self {
-            ReachIndex::Matrix(m) => m.get(a, b),
-            ReachIndex::Clocks(c) => c.reaches(a, b),
-        }
-    }
-}
 
 /// The built HB graph plus its reachability index. Vertices are the trace
 /// record indices (`0..trace.len()`), in sequence order.
@@ -173,29 +91,17 @@ pub struct HbAnalysis {
     /// Reverse adjacency, kept in lockstep with `edges`: used by the
     /// incremental reachability propagation and by `predecessors`.
     preds: Vec<Vec<(u32, EdgeRule)>>,
-    reach: ReachIndex,
+    reach: ChainClocks,
     edge_count: usize,
 }
 
 impl HbAnalysis {
-    /// Builds the HB graph of `trace` and computes reachable sets.
+    /// Builds the HB graph of `trace` and computes its reachability index.
     pub fn build(trace: TraceSet, config: &HbConfig) -> Result<HbAnalysis, HbError> {
         let _span = dcatch_obs::span!("hb.build");
         let n = trace.len();
-        let matrix_bytes = BitMatrix::estimated_bytes(n);
-        let clock_bytes = ChainClocks::estimated_bytes(n, ChainClocks::chain_count(&trace));
+        let needed = ChainClocks::estimated_bytes(n, ChainClocks::chain_count(&trace));
         let budget = config.memory_budget_bytes;
-        let (mode, needed) = match config.reachability {
-            ReachabilityMode::Matrix => (ReachabilityMode::Matrix, matrix_bytes),
-            ReachabilityMode::Clocks => (ReachabilityMode::Clocks, clock_bytes),
-            // Auto keeps the matrix whenever it fits (byte-identical to the
-            // historical behavior on selective traces) and switches to
-            // clocks only where the matrix alone would OOM.
-            ReachabilityMode::Auto if matrix_bytes <= budget => {
-                (ReachabilityMode::Matrix, matrix_bytes)
-            }
-            ReachabilityMode::Auto => (ReachabilityMode::Clocks, clock_bytes),
-        };
         gauge!("hb_reach_bytes_peak").set_max(needed as u64);
         if needed > budget {
             counter!("hb_oom_total").inc();
@@ -206,10 +112,7 @@ impl HbAnalysis {
             trace,
             edges: vec![Vec::new(); n],
             preds: vec![Vec::new(); n],
-            reach: match mode {
-                ReachabilityMode::Clocks => ReachIndex::Clocks(ChainClocks::new(&TraceSet::new())),
-                _ => ReachIndex::Matrix(BitMatrix::new(0)),
-            },
+            reach: ChainClocks::new(&TraceSet::new()),
             edge_count: 0,
         };
         a.add_program_order_edges();
@@ -240,15 +143,6 @@ impl HbAnalysis {
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
         self.edge_count
-    }
-
-    /// The reachability engine actually in use — resolves `Auto` to the
-    /// concrete choice [`build`](HbAnalysis::build) made for this trace.
-    pub fn reachability(&self) -> ReachabilityMode {
-        match self.reach {
-            ReachIndex::Matrix(_) => ReachabilityMode::Matrix,
-            ReachIndex::Clocks(_) => ReachabilityMode::Clocks,
-        }
     }
 
     /// Resident bytes of the reachability index.
@@ -350,7 +244,7 @@ impl HbAnalysis {
 
     /// Adds extra edges (e.g. inferred `Mpull`/loop-sync causality) and
     /// folds each one into the reachability index incrementally — no
-    /// full matrix rebuild.
+    /// full rebuild.
     pub fn add_edges_and_rebuild(&mut self, extra: &[(usize, usize)]) {
         let _span = dcatch_obs::span!("hb.reach.delta");
         for &(u, v) in extra {
@@ -385,18 +279,13 @@ impl HbAnalysis {
 
     /// Adds `u → v` to an analysis whose reachability index is already
     /// computed, and repairs the index by delta propagation instead of a
-    /// full sweep. The two engines are mirror images of each other:
-    ///
-    /// * **Matrix** rows are *forward*-reachable sets, so row `u` absorbs
-    ///   `{v} ∪ reach[v]` and the growth is pushed *backward* through
-    ///   predecessors whose rows actually change.
-    /// * **Clocks** are *predecessor*-closure frontiers, so `v` joins
-    ///   `u`'s clock and the growth is pushed *forward* through
-    ///   successors whose clocks actually advance.
+    /// full sweep. Clocks are predecessor-closure frontiers, so `v` joins
+    /// `u`'s clock and the growth is pushed forward through successors
+    /// whose clocks actually advance.
     ///
     /// Correctness rests on the invariant that the index is transitively
-    /// closed with respect to the current edge set: a neighbor that
-    /// already covers the grown vertex's delta stops propagation, and
+    /// closed with respect to the current edge set: a successor that
+    /// already covers the grown vertex's frontier stops propagation, and
     /// nothing beyond it can change either.
     fn add_edge_incremental(&mut self, u: usize, v: usize, rule: EdgeRule) -> bool {
         debug_assert_eq!(self.reach.len(), self.trace.len(), "reach not built yet");
@@ -404,36 +293,14 @@ impl HbAnalysis {
             return false;
         }
         counter!("hb_reach_delta_edges_total").inc();
-        match &mut self.reach {
-            ReachIndex::Matrix(reach) => {
-                let mut changed = !reach.get(u, v);
-                reach.set(u, v);
-                changed |= reach.or_row_into_changed(v, u);
-                if !changed {
-                    return true;
-                }
-                let mut work = vec![u];
-                while let Some(w) = work.pop() {
-                    for i in 0..self.preds[w].len() {
-                        let p = self.preds[w][i].0 as usize;
-                        if reach.or_row_into_changed(w, p) {
-                            work.push(p);
-                        }
-                    }
-                }
-            }
-            ReachIndex::Clocks(clocks) => {
-                if !clocks.join_from(u, v) {
-                    return true;
-                }
-                let mut work = vec![v];
-                while let Some(w) = work.pop() {
-                    for i in 0..self.edges[w].len() {
-                        let t = self.edges[w][i].0 as usize;
-                        if clocks.join_from(w, t) {
-                            work.push(t);
-                        }
-                    }
+        if !self.reach.join_from(u, v) {
+            return true;
+        }
+        let mut work = vec![v];
+        while let Some(w) = work.pop() {
+            for &(t, _) in &self.edges[w] {
+                if self.reach.join_from(w, t as usize) {
+                    work.push(t as usize);
                 }
             }
         }
@@ -442,78 +309,40 @@ impl HbAnalysis {
 
     /// Folds a batch of freshly inserted edges (already present in
     /// `edges`/`preds`, not yet in `reach`) into the reachability index
-    /// with one partial reverse sweep. Only rows that gained an out-edge
-    /// or whose successor's row changed are re-unioned, so the cost is
-    /// proportional to the affected region rather than the whole graph —
-    /// and unlike per-edge propagation, each affected row absorbs the
-    /// whole batch's delta once instead of once per edge.
+    /// with one partial forward sweep from the lowest new destination: a
+    /// vertex re-joins if it gained an in-edge or a predecessor's clock
+    /// advanced. Every edge points forward in index order, so each
+    /// predecessor is final before its successors are visited. The cost
+    /// is proportional to the affected suffix rather than the whole graph
+    /// — and unlike per-edge propagation, each affected vertex absorbs
+    /// the whole batch's delta once instead of once per edge.
     fn integrate_edges(&mut self, new_edges: &[(usize, usize)]) {
         if new_edges.is_empty() {
             return;
         }
         counter!("hb_reach_delta_edges_total").add(new_edges.len() as u64);
-        match &mut self.reach {
-            // Matrix rows summarize successors, so the partial sweep runs
-            // backward from the highest new source: a row re-unions if it
-            // gained an out-edge or a successor's row changed.
-            ReachIndex::Matrix(reach) => {
-                let mut by_src: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-                let mut hi = 0usize;
-                for &(u, v) in new_edges {
-                    by_src.entry(u).or_default().push(v);
-                    hi = hi.max(u);
-                }
-                let mut changed = vec![false; hi + 1];
-                for i in (0..=hi).rev() {
-                    let mut grew = false;
-                    if let Some(vs) = by_src.get(&i) {
-                        for &v in vs {
-                            if !reach.get(i, v) {
-                                reach.set(i, v);
-                                grew = true;
-                            }
-                            grew |= reach.or_row_into_changed(v, i);
-                        }
-                    }
-                    for k in 0..self.edges[i].len() {
-                        let t = self.edges[i][k].0 as usize;
-                        if t <= hi && changed[t] {
-                            grew |= reach.or_row_into_changed(t, i);
-                        }
-                    }
-                    changed[i] = grew;
+        let n = self.trace.len();
+        let mut by_dst: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut lo = n;
+        for &(u, v) in new_edges {
+            by_dst.entry(v).or_default().push(u);
+            lo = lo.min(v);
+        }
+        let mut changed = vec![false; n];
+        for i in lo..n {
+            let mut grew = false;
+            if let Some(us) = by_dst.get(&i) {
+                for &u in us {
+                    grew |= self.reach.join_from(u, i);
                 }
             }
-            // Clocks summarize predecessors, so the sweep is the mirror
-            // image: forward from the lowest new destination, a vertex
-            // re-joins if it gained an in-edge or a predecessor's clock
-            // advanced. Every edge points forward in index order, so each
-            // predecessor is final before its successors are visited.
-            ReachIndex::Clocks(clocks) => {
-                let n = self.trace.len();
-                let mut by_dst: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-                let mut lo = n;
-                for &(u, v) in new_edges {
-                    by_dst.entry(v).or_default().push(u);
-                    lo = lo.min(v);
-                }
-                let mut changed = vec![false; n];
-                for i in lo..n {
-                    let mut grew = false;
-                    if let Some(us) = by_dst.get(&i) {
-                        for &u in us {
-                            grew |= clocks.join_from(u, i);
-                        }
-                    }
-                    for k in 0..self.preds[i].len() {
-                        let p = self.preds[i][k].0 as usize;
-                        if p >= lo && changed[p] {
-                            grew |= clocks.join_from(p, i);
-                        }
-                    }
-                    changed[i] = grew;
+            for &(p, _) in &self.preds[i] {
+                let p = p as usize;
+                if p >= lo && changed[p] {
+                    grew |= self.reach.join_from(p, i);
                 }
             }
+            changed[i] = grew;
         }
     }
 
@@ -778,8 +607,8 @@ impl HbAnalysis {
         // Queues are scanned repeatedly; each pass's newly discovered
         // edges (across every queue) are folded into the reachability
         // index in one batched partial sweep (`integrate_edges`) before
-        // the next pass — where the full-recompute version paid a
-        // complete O(n²/64) sweep per dependency layer. One batch per
+        // the next pass — where a full recompute would pay a complete
+        // O(n·G) sweep per dependency layer. One batch per
         // pass, not per queue, keeps the sweep count independent of how
         // many queues the trace has. `done` bitsets remember which pairs
         // already produced an edge so rescans cost O(1) per pair.
@@ -831,45 +660,20 @@ impl HbAnalysis {
     }
 
     /// Full sweep, run exactly once per build. Every edge goes from a
-    /// smaller to a larger index, so a single pass in the right direction
-    /// suffices: decreasing order for the matrix (each reachable set is
-    /// the union of its successors' sets plus the successors themselves),
-    /// increasing order for the clocks (each clock is the join of its
-    /// predecessors' clocks plus its own chain tick). All later edge
-    /// insertions go through `add_edge_incremental`/`integrate_edges`.
+    /// smaller to a larger index, so one pass in increasing order
+    /// suffices: each clock is the join of its predecessors' clocks plus
+    /// its own chain tick. All later edge insertions go through
+    /// `add_edge_incremental`/`integrate_edges`.
     fn recompute_reach(&mut self) {
         let _span = dcatch_obs::span!("hb.reach");
         counter!("hb_reach_recomputes_total").inc();
-        let n = self.trace.len();
-        match self.reach {
-            ReachIndex::Matrix(_) => {
-                // drop the previous matrix first: holding both would double
-                // peak memory and defeat the budget check in `build`
-                self.reach = ReachIndex::Matrix(BitMatrix::new(0));
-                let mut reach = BitMatrix::new(n);
-                for i in (0..n).rev() {
-                    // collect first to avoid holding a borrow on edges
-                    let succs: Vec<usize> =
-                        self.edges[i].iter().map(|&(t, _)| t as usize).collect();
-                    for s in succs {
-                        reach.set(i, s);
-                        reach.or_row_into(s, i);
-                    }
-                }
-                self.reach = ReachIndex::Matrix(reach);
-            }
-            ReachIndex::Clocks(_) => {
-                self.reach = ReachIndex::Clocks(ChainClocks::new(&TraceSet::new()));
-                let mut clocks = ChainClocks::new(&self.trace);
-                for v in 0..n {
-                    for k in 0..self.preds[v].len() {
-                        let p = self.preds[v][k].0 as usize;
-                        clocks.join_from(p, v);
-                    }
-                }
-                self.reach = ReachIndex::Clocks(clocks);
+        let mut clocks = ChainClocks::new(&self.trace);
+        for (v, preds) in self.preds.iter().enumerate() {
+            for &(p, _) in preds {
+                clocks.join_from(p as usize, v);
             }
         }
+        self.reach = clocks;
     }
 }
 

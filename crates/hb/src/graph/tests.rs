@@ -4,7 +4,7 @@ use dcatch_trace::{
     RpcId, TaskId, TraceSet,
 };
 
-use super::{EdgeRule, HbAnalysis, HbConfig, HbError, ReachabilityMode};
+use super::{EdgeRule, HbAnalysis, HbConfig, HbError};
 
 fn task(node: u32, index: u32) -> TaskId {
     TaskId {
@@ -357,6 +357,8 @@ fn add_edges_and_rebuild_orders_previously_concurrent_records() {
     assert!(a.happens_before(0, 2)); // transitively via t1's program order
 }
 
+/// The budget bounds the chain-clock index: `n × G × 4` bytes fits
+/// exactly, one byte less is the Table 8 "Out of Memory" outcome.
 #[test]
 fn memory_budget_is_enforced() {
     let t0 = task(0, 0);
@@ -364,58 +366,29 @@ fn memory_budget_is_enforced() {
         .map(|i| mem(i, t0, ExecCtx::Regular, "x", false))
         .collect();
     let trace: TraceSet = records.into_iter().collect();
-    // 16 bytes is too small for either engine, so even Auto must OOM —
-    // and the reported need is the clock engine's (the cheaper fallback)
-    for mode in [
-        ReachabilityMode::Auto,
-        ReachabilityMode::Matrix,
-        ReachabilityMode::Clocks,
-    ] {
-        let cfg = HbConfig {
-            memory_budget_bytes: 16,
-            reachability: mode,
-            ..HbConfig::default()
-        };
-        match HbAnalysis::build(trace.clone(), &cfg) {
-            Err(HbError::OutOfMemory { needed, budget }) => {
-                assert!(needed > budget, "{mode}");
-            }
-            other => panic!(
-                "expected OOM under {mode}, got {:?}",
-                other.map(|a| a.vertex_count())
-            ),
-        }
-    }
-}
-
-/// `Auto` resolves to the matrix when it fits and to clocks when only the
-/// clocks do; forcing an engine overrides the budget-based choice.
-#[test]
-fn auto_mode_picks_the_engine_that_fits() {
-    let t0 = task(0, 0);
-    let records: Vec<Record> = (0..100)
-        .map(|i| mem(i, t0, ExecCtx::Regular, "x", false))
-        .collect();
-    let trace: TraceSet = records.into_iter().collect();
-    // n=100: matrix needs 100 × 2 × 8 = 1600 bytes, clocks 100 × 1 × 4 = 400
-    let build = |mode, budget| {
+    // n=100 on one chain: 100 × 1 × 4 = 400 bytes
+    let build = |budget| {
         HbAnalysis::build(
             trace.clone(),
             &HbConfig {
                 memory_budget_bytes: budget,
-                reachability: mode,
                 ..HbConfig::default()
             },
         )
     };
-    let roomy = build(ReachabilityMode::Auto, 1 << 20).unwrap();
-    assert_eq!(roomy.reachability(), ReachabilityMode::Matrix);
-    let tight = build(ReachabilityMode::Auto, 1000).unwrap();
-    assert_eq!(tight.reachability(), ReachabilityMode::Clocks);
-    assert!(tight.reach_bytes() <= 1000);
-    let forced = build(ReachabilityMode::Clocks, 1 << 20).unwrap();
-    assert_eq!(forced.reachability(), ReachabilityMode::Clocks);
-    assert!(build(ReachabilityMode::Matrix, 1000).is_err());
+    let fits = build(400).unwrap();
+    assert_eq!(fits.reach_bytes(), 400);
+    for budget in [16, 399] {
+        match build(budget) {
+            Err(HbError::OutOfMemory { needed, budget: b }) => {
+                assert_eq!((needed, b), (400, budget));
+            }
+            other => panic!(
+                "expected OOM under {budget} B, got {:?}",
+                other.map(|a| a.vertex_count())
+            ),
+        }
+    }
 }
 
 #[test]
@@ -432,10 +405,9 @@ fn edge_and_vertex_counts() {
 }
 
 /// Property: folding random forward edges into a built analysis via
-/// `add_edge_incremental` leaves `reach` identical to a from-scratch
-/// full sweep over the same edge set, across seeded random DAGs — for
-/// both reachability engines — and the two engines agree on every
-/// `happens_before` answer at every checkpoint.
+/// `add_edge_incremental` or the batched `integrate_edges` leaves `reach`
+/// identical to a from-scratch full sweep over the same edge set, across
+/// seeded random DAGs.
 #[test]
 fn incremental_reach_matches_full_recompute_on_random_dags() {
     use dcatch_obs::SmallRng;
@@ -450,21 +422,12 @@ fn incremental_reach_matches_full_recompute_on_random_dags() {
             .map(|i| mem(i as u64, task(0, i as u32), ExecCtx::Regular, "x", false))
             .collect();
         let trace: TraceSet = records.into_iter().collect();
-        let cfg = |mode| HbConfig {
-            reachability: mode,
-            ..HbConfig::default()
-        };
-        let mut engines = [
-            HbAnalysis::build(trace.clone(), &cfg(ReachabilityMode::Matrix)).unwrap(),
-            HbAnalysis::build(trace, &cfg(ReachabilityMode::Clocks)).unwrap(),
-        ];
+        let mut a = HbAnalysis::build(trace, &HbConfig::default()).unwrap();
         // seed DAG folded in before the comparison baseline
         for _ in 0..n {
             let u = rng.gen_range(n - 1);
             let v = u + 1 + rng.gen_range(n - u - 1);
-            for a in &mut engines {
-                a.add_edge_incremental(u, v, EdgeRule::LoopSync);
-            }
+            a.add_edge_incremental(u, v, EdgeRule::LoopSync);
         }
         // interleave inserts with full-recompute cross-checks, exercising
         // both the per-edge worklist and the batched partial sweep
@@ -473,44 +436,25 @@ fn incremental_reach_matches_full_recompute_on_random_dags() {
                 for _ in 0..(1 + rng.gen_range(6)) {
                     let u = rng.gen_range(n - 1);
                     let v = u + 1 + rng.gen_range(n - u - 1);
-                    for a in &mut engines {
-                        a.add_edge_incremental(u, v, EdgeRule::LoopSync);
-                    }
+                    a.add_edge_incremental(u, v, EdgeRule::LoopSync);
                 }
             } else {
                 let mut batch = Vec::new();
                 for _ in 0..(1 + rng.gen_range(6)) {
                     let u = rng.gen_range(n - 1);
                     let v = u + 1 + rng.gen_range(n - u - 1);
-                    if engines[0].add_edge(u, v, EdgeRule::LoopSync) {
-                        engines[1].add_edge(u, v, EdgeRule::LoopSync);
+                    if a.add_edge(u, v, EdgeRule::LoopSync) {
                         batch.push((u, v));
                     }
                 }
-                for a in &mut engines {
-                    a.integrate_edges(&batch);
-                }
+                a.integrate_edges(&batch);
             }
-            for a in &mut engines {
-                let incremental = a.reach.clone();
-                a.recompute_reach();
-                assert_eq!(
-                    incremental,
-                    a.reach,
-                    "case {case} round {round} ({}): delta propagation diverged from full sweep",
-                    a.reachability()
-                );
-            }
-            let (m, c) = (&engines[0], &engines[1]);
-            for i in 0..n {
-                for j in 0..n {
-                    assert_eq!(
-                        m.happens_before(i, j),
-                        c.happens_before(i, j),
-                        "case {case} round {round}: engines disagree on ({i}, {j})"
-                    );
-                }
-            }
+            let incremental = a.reach.clone();
+            a.recompute_reach();
+            assert_eq!(
+                incremental, a.reach,
+                "case {case} round {round}: delta propagation diverged from full sweep"
+            );
         }
     }
 }

@@ -21,25 +21,20 @@
 //! feeds extra edges back into this graph via
 //! [`HbAnalysis::add_edges_and_rebuild`].)
 //!
-//! Reachability has two interchangeable engines behind
-//! [`HbConfig::reachability`]:
+//! Reachability is answered by one engine, [`ChainClocks`]:
+//! chain-decomposition vector clocks, one u32 frontier per program-order
+//! chain per record. That is `O(n·G)` memory over `G` chains (one per
+//! thread or handler instance), and it is exact for arbitrary HB DAGs. Every HB edge in a trace points from a
+//! smaller to a larger sequence number, so one forward sweep computes
+//! every clock, and a concurrency check is two loads and a compare.
 //!
-//! * [`BitMatrix`] — the bit-array reachable-set algorithm DCatch borrows
-//!   from event-driven race detection (§3.2.2): every HB edge in a trace
-//!   points from a smaller to a larger sequence number, so one reverse
-//!   sweep computes each vertex's reachable set and concurrency checks
-//!   become constant-time bit lookups. The memory this takes is quadratic
-//!   in the trace length — which is exactly why DCatch's *selective*
-//!   tracing matters, and why the unselective baseline of Table 8 runs
-//!   out of memory ([`HbError::OutOfMemory`]).
-//! * [`ChainClocks`] — chain-decomposition vector clocks: one u32 frontier
-//!   per program-order chain per record, `O(n·G)` memory with `G ≪ n`
-//!   chains, exact for arbitrary HB DAGs. This is what lets *full-trace*
-//!   detection keep running at the unselective Table 8 scale where the
-//!   matrix blows the budget.
-//!
-//! The default [`ReachabilityMode::Auto`] picks the matrix whenever it
-//! fits the memory budget and clocks otherwise.
+//! The paper's own index (§3.2.2) is a bit-array reachable set per vertex.
+//! Its memory is quadratic in the trace length, which is why DCatch's
+//! *selective* tracing matters and why the unselective baseline of
+//! Table 8 runs out of memory. Only its size formula remains here,
+//! [`BitMatrix::estimated_bytes`], so Table 8 can still state that
+//! verdict. [`HbError::OutOfMemory`] is returned when the clock index
+//! itself exceeds [`HbConfig::memory_budget_bytes`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,6 +49,6 @@ mod vectorclock;
 pub use ablation::{apply_ablation, Ablation};
 pub use bitmatrix::BitMatrix;
 pub use chainclocks::ChainClocks;
-pub use graph::{EdgeRule, HbAnalysis, HbConfig, HbError, ReachabilityMode};
+pub use graph::{EdgeRule, HbAnalysis, HbConfig, HbError};
 pub use streaming::{Arrival, FrontierEngine, FrontierOptions};
 pub use vectorclock::VectorClocks;

@@ -10,8 +10,8 @@
 //! a clock dimension; a vertex's clock is the pointwise maximum of its
 //! predecessors' clocks plus its own tick. `a ⇒ b` iff `VC(a) ≤ VC(b)`
 //! pointwise and `a`'s own component is no greater. The
-//! `reachability_beats_vector_clocks` bench and the agreement property
-//! test live next to the bit-matrix implementation this loses to.
+//! `reachability_index` bench group times it, and a property test checks
+//! it against a DFS closure.
 
 use std::collections::BTreeMap;
 

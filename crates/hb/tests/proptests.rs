@@ -1,12 +1,12 @@
-//! Property tests for the HB graph: the bit-matrix reachable sets must
-//! agree with a naive DFS transitive closure, and concurrency must be
+//! Property tests for the HB graph: the chain-clock reachability index
+//! must agree with a naive DFS transitive closure, and concurrency must be
 //! symmetric and irreflexive, on arbitrary generated traces.
 //!
 //! Generators are driven by the in-repo deterministic PRNG
 //! (`dcatch_obs::SmallRng`); each test runs a fixed number of seeded
 //! cases and reports the failing case seed on assert.
 
-use dcatch_hb::{apply_ablation, Ablation, HbAnalysis, HbConfig, ReachabilityMode};
+use dcatch_hb::{apply_ablation, Ablation, HbAnalysis, HbConfig};
 use dcatch_model::{FuncId, NodeId, StmtId};
 use dcatch_obs::SmallRng;
 use dcatch_trace::{
@@ -227,7 +227,7 @@ fn dfs_closure(hb: &HbAnalysis) -> Vec<Vec<bool>> {
     out
 }
 
-/// The constant-time bit-matrix queries agree with ground-truth DFS.
+/// The constant-time chain-clock queries agree with ground-truth DFS.
 #[test]
 fn reachability_matches_dfs_closure() {
     for case in 0..64u64 {
@@ -268,7 +268,7 @@ fn concurrency_laws() {
 }
 
 /// Every HB edge points forward in sequence order (the DAG invariant
-/// the reverse reachability sweep relies on).
+/// the forward reachability sweep relies on).
 #[test]
 fn edges_are_seq_monotone() {
     for case in 0..64u64 {
@@ -332,13 +332,12 @@ fn explain_returns_valid_chains() {
 }
 
 /// The chain-decomposition clock engine answers every `happens_before`
-/// and `concurrent` query exactly like the bit matrix, on arbitrary
-/// well-formed traces — including after interleaved incremental growth
-/// via `add_edges_and_rebuild` (the public path onto
-/// `add_edge_incremental`). This is the equivalence property the `auto`
-/// engine selection rests on.
+/// and `concurrent` query exactly like a DFS transitive closure, on
+/// arbitrary well-formed traces — including after interleaved
+/// incremental growth via `add_edges_and_rebuild` (the public path onto
+/// `add_edge_incremental`).
 #[test]
-fn chain_clocks_agree_with_bit_matrix() {
+fn chain_clocks_agree_with_dfs_closure() {
     let cases = if std::env::var_os("DCATCH_SOAK").is_some() {
         192
     } else {
@@ -347,33 +346,27 @@ fn chain_clocks_agree_with_bit_matrix() {
     for case in 0..cases {
         let mut rng = SmallRng::seed_from_u64(0xC1A5 ^ case);
         let trace = build_trace(&arb_ops(&mut rng, 40));
-        let cfg = |mode| HbConfig {
-            reachability: mode,
-            ..HbConfig::default()
-        };
-        let mut matrix = HbAnalysis::build(trace.clone(), &cfg(ReachabilityMode::Matrix)).unwrap();
-        let mut clocks = HbAnalysis::build(trace, &cfg(ReachabilityMode::Clocks)).unwrap();
-        assert_eq!(matrix.reachability(), ReachabilityMode::Matrix);
-        assert_eq!(clocks.reachability(), ReachabilityMode::Clocks);
-        let n = matrix.vertex_count();
-        let check = |matrix: &HbAnalysis, clocks: &HbAnalysis, stage: &str| {
-            for a in 0..n {
-                for b in 0..n {
+        let mut clocks = HbAnalysis::build(trace, &HbConfig::default()).unwrap();
+        let n = clocks.vertex_count();
+        let check = |clocks: &HbAnalysis, stage: &str| {
+            let truth = dfs_closure(clocks);
+            for (a, row) in truth.iter().enumerate() {
+                for (b, &reachable) in row.iter().enumerate() {
                     assert_eq!(
-                        matrix.happens_before(a, b),
                         clocks.happens_before(a, b),
-                        "case {case} {stage}: engines disagree on hb({a}, {b})"
+                        a != b && reachable,
+                        "case {case} {stage}: clocks disagree with DFS on hb({a}, {b})"
                     );
                     assert_eq!(
-                        matrix.concurrent(a, b),
                         clocks.concurrent(a, b),
-                        "case {case} {stage}: engines disagree on concurrent({a}, {b})"
+                        a != b && !reachable && !truth[b][a],
+                        "case {case} {stage}: clocks disagree with DFS on concurrent({a}, {b})"
                     );
                 }
             }
         };
-        check(&matrix, &clocks, "after build");
-        // grow both graphs identically through the public incremental path
+        check(&clocks, "after build");
+        // grow the graph through the public incremental path
         for round in 0..3 {
             if n < 2 {
                 break;
@@ -382,28 +375,27 @@ fn chain_clocks_agree_with_bit_matrix() {
                 .map(|_| (rng.gen_range(n), rng.gen_range(n)))
                 .filter(|(u, v)| u != v)
                 .collect();
-            matrix.add_edges_and_rebuild(&extra);
             clocks.add_edges_and_rebuild(&extra);
-            check(&matrix, &clocks, &format!("after growth round {round}"));
+            check(&clocks, &format!("after growth round {round}"));
         }
     }
 }
 
 /// The vector-clock baseline (paper §3.2.2's "too slow" alternative)
-/// agrees with the bit-matrix reachable sets on arbitrary traces.
+/// agrees with a DFS transitive closure on arbitrary traces.
 #[test]
-fn vector_clocks_agree_with_bit_matrix() {
+fn vector_clocks_agree_with_dfs_closure() {
     for case in 0..48u64 {
         let mut rng = SmallRng::seed_from_u64(0x7C ^ case);
         let trace = build_trace(&arb_ops(&mut rng, 35));
         let hb = HbAnalysis::build(trace, &HbConfig::default()).unwrap();
         let vc = dcatch_hb::VectorClocks::compute(&hb);
-        let n = hb.vertex_count();
-        for a in 0..n {
-            for b in 0..n {
+        let truth = dfs_closure(&hb);
+        for (a, row) in truth.iter().enumerate() {
+            for (b, &reachable) in row.iter().enumerate() {
                 assert_eq!(
-                    hb.happens_before(a, b),
                     vc.happens_before(a, b),
+                    a != b && reachable,
                     "case {case}: vc disagreement at ({a}, {b})"
                 );
             }

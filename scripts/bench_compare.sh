@@ -19,13 +19,6 @@
 # comparison (benches gain entries over time). Improvements print their
 # speed-up so refreshed baselines are easy to sanity-check.
 #
-# The `reachability` group additionally gates the two-engine trade-off
-# within the *current* document: chain clocks must use at least 4x less
-# memory than the bit matrix at the largest size (bytes are deterministic,
-# so this is a hard failure), and their build+query mean at the smallest
-# size is reported against the 1.15x target (timing is jittery at these
-# sizes, so a miss only warns).
-#
 # The `streaming` group is likewise gated within the current document
 # (its bytes are deterministic): at the largest size where both modes ran,
 # the online detector's peak resident bytes must undercut the offline
@@ -68,8 +61,6 @@ import sys
 
 THRESHOLD = 1.25  # fail on >25% mean regression
 NOISE_FLOOR_NS = 500_000  # sub-0.5ms entries are jitter-dominated: report only
-MEMORY_RATIO = 4.0  # clocks must beat the matrix by this factor at the top size
-TIME_RATIO = 1.15  # clocks build+query target at the smallest size (soft)
 PROFILE_RATIO = 1.05  # --profile may cost at most 5% on detect-all
 STREAM_MEMORY_RATIO = 8.0  # online must beat the offline footprint by this factor
 STREAM_SUBLINEAR = 4.0  # online bytes may grow at most 1/4 as fast as records
@@ -128,35 +119,6 @@ for key in sorted(base.keys() | cur.keys()):
         print(f"  ok        {label}: {b_mean / 1e6:.2f} ms -> {c_mean / 1e6:.2f} ms ({1 / ratio:.2f}x faster)")
     else:
         print(f"  ok        {label}: {b_mean / 1e6:.2f} ms -> {c_mean / 1e6:.2f} ms ({ratio:.2f}x)")
-
-# --- reachability engine gate (current document only) ---
-sizes = {}
-for (group, name), (mean, _mn, nbytes) in cur.items():
-    m = re.fullmatch(r"(matrix|clocks)_(\d+)rec", name)
-    if group == "reachability" and m:
-        sizes.setdefault(int(m.group(2)), {})[m.group(1)] = (mean, nbytes)
-paired = {n: e for n, e in sizes.items() if "matrix" in e and "clocks" in e}
-if paired:
-    largest, smallest = max(paired), min(paired)
-    m_bytes, c_bytes = paired[largest]["matrix"][1], paired[largest]["clocks"][1]
-    if m_bytes and c_bytes:
-        ratio = m_bytes / c_bytes
-        line = (
-            f"reachability@{largest}rec memory: clocks {c_bytes} vs "
-            f"matrix {m_bytes} bytes ({ratio:.1f}x smaller)"
-        )
-        if ratio < MEMORY_RATIO:
-            failed.append(line)
-            print(f"  ENGINES   {line} — below the {MEMORY_RATIO:.0f}x floor")
-        else:
-            print(f"  engines   {line}")
-    m_mean, c_mean = paired[smallest]["matrix"][0], paired[smallest]["clocks"][0]
-    t_ratio = c_mean / m_mean if m_mean else float("inf")
-    verdict = "ok" if t_ratio <= TIME_RATIO else f"above the {TIME_RATIO}x target (soft)"
-    print(
-        f"  engines   reachability@{smallest}rec build+query: clocks "
-        f"{c_mean / 1e6:.2f} ms vs matrix {m_mean / 1e6:.2f} ms ({t_ratio:.2f}x) — {verdict}"
-    )
 
 # --- streaming window gate (current document only) ---
 stream = {}

@@ -204,10 +204,10 @@ cargo build --offline --release
 echo "== cargo test =="
 cargo test --offline -q
 
-echo "== reachability engine equivalence (matrix vs chain clocks) =="
+echo "== reachability engine equivalence (chain clocks vs DFS closure) =="
 # also part of the suite above; named here so a failure is unmistakable.
 # DCATCH_SOAK=1 widens it from 48 to 192 random DAGs.
-cargo test --offline -q -p dcatch-hb --test proptests chain_clocks_agree_with_bit_matrix
+cargo test --offline -q -p dcatch-hb --test proptests chain_clocks_agree_with_dfs_closure
 
 echo "== timeline smoke (generate + validate + byte determinism) =="
 # `dcatch timeline` validates the trace-event document before writing it;

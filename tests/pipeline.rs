@@ -1,7 +1,9 @@
 //! Cross-crate pipeline behaviour: selective vs full tracing, memory
 //! budgets, determinism, and trace round-trips.
 
-use dcatch::{HbAnalysis, HbConfig, Pipeline, PipelineOptions, SimConfig, TracingMode, World};
+use dcatch::{
+    HbAnalysis, HbConfig, Pipeline, PipelineOptions, SimConfig, TracingMode, Verdict, World,
+};
 
 /// Selective tracing (paper §3.1.1) produces much smaller traces than
 /// unselective tracing on every benchmark — the Table 8 comparison.
@@ -40,8 +42,7 @@ fn oom_is_a_reported_outcome_not_an_error() {
     let bench = dcatch::benchmark("MR-3274").unwrap();
     let mut opts = PipelineOptions::fast();
     opts.tracing = TracingMode::Full;
-    // 1 KiB is below even the chain-clock engine's O(n·G) footprint, so
-    // the default `auto` mode has no engine to fall back to
+    // 1 KiB is below the chain-clock index's O(n·G) footprint
     opts.hb = HbConfig {
         memory_budget_bytes: 1024,
         ..HbConfig::default()
@@ -100,14 +101,14 @@ fn parallel_detection_report_matches_serial_byte_for_byte() {
     assert_eq!(serial, parallel, "report depends on worker count");
 }
 
-/// The tentpole guarantee at test scale: pick a budget the bit matrix
-/// cannot fit but the chain clocks can. The matrix engine OOMs on the
-/// full unselective trace; `auto` silently falls back to clocks and
-/// completes full-trace (non-chunked) detection within the same budget.
-/// (EXPERIMENTS.md repeats this at Table-8 scale with the 512 MB budget.)
+/// Full-trace detection completes under a budget one byte short of the
+/// paper's dense reachable-set matrix, which is the Table 8 "Out of
+/// Memory" outcome for that index. The chain-clock index fits the same
+/// budget without chunking. (EXPERIMENTS.md repeats this at Table-8
+/// scale with the 512 MB budget.)
 #[test]
 fn clock_engine_completes_full_trace_detection_where_matrix_ooms() {
-    use dcatch::{BitMatrix, ChainClocks, ReachabilityMode};
+    use dcatch::BitMatrix;
     let bench = dcatch::benchmark("MR-3274").unwrap();
     let run = World::run_once(
         &bench.program,
@@ -117,90 +118,197 @@ fn clock_engine_completes_full_trace_detection_where_matrix_ooms() {
             .with_full_tracing(),
     )
     .unwrap();
-    let n = run.trace.len();
-    let clock_bytes = ChainClocks::estimated_bytes(n, ChainClocks::chain_count(&run.trace));
-    let budget = BitMatrix::estimated_bytes(n) - 1;
-    assert!(
-        clock_bytes <= budget,
-        "premise: clocks fit, matrix does not"
-    );
+    let budget = BitMatrix::estimated_bytes(run.trace.len()) - 1;
 
     let mut opts = PipelineOptions::fast();
     opts.tracing = TracingMode::Full;
     opts.hb.memory_budget_bytes = budget;
-    // auto first: `hb_reach_bytes_peak` is a running max per thread, so
-    // the deliberately-OOMing matrix attempt would mask the clock reading
-    opts.hb.reachability = ReachabilityMode::Auto;
-    let auto = Pipeline::run(&bench, &opts).unwrap();
-    assert!(auto.oom.is_none(), "auto must fall back to clocks");
-    assert!(auto.ta_static > 0, "full-trace detection must complete");
+    let report = Pipeline::run(&bench, &opts).unwrap();
+    assert!(report.oom.is_none(), "the clock index must fit");
+    assert!(report.ta_static > 0, "full-trace detection must complete");
     assert!(
-        auto.metrics.gauge("hb_reach_bytes_peak") <= budget as u64,
+        report.metrics.gauge("hb_reach_bytes_peak") <= budget as u64,
         "clock index must stay within the budget"
     );
-
-    opts.hb.reachability = ReachabilityMode::Matrix;
-    let matrix = Pipeline::run(&bench, &opts).unwrap();
-    assert!(matrix.oom.is_some(), "matrix engine must OOM");
 }
 
-/// Detection is engine-independent: the chain-clock reachability engine
-/// produces exactly the same Tables 4/5 numbers (candidate funnel,
-/// verdict tallies, known-bug confirmation, per-candidate static pairs)
-/// as the bit matrix on every benchmark, and the same Table 9 ablation
-/// counts. This is the end-to-end guarantee on top of the pairwise
-/// equivalence property tests in `dcatch-hb`.
-#[test]
-fn detection_results_are_identical_under_both_engines() {
-    use dcatch::ReachabilityMode;
-    for bench in dcatch::all_benchmarks() {
-        let run = |mode| {
-            let mut opts = PipelineOptions::full();
-            opts.hb.reachability = mode;
-            Pipeline::run(&bench, &opts).unwrap()
-        };
-        let m = run(ReachabilityMode::Matrix);
-        let c = run(ReachabilityMode::Clocks);
-        assert_eq!(
-            (m.ta_static, m.ta_stacks, m.sp_static, m.sp_stacks),
-            (c.ta_static, c.ta_stacks, c.sp_static, c.sp_stacks),
-            "{}: candidate funnel differs",
-            bench.id
-        );
-        assert_eq!(
-            (m.lp_static, m.lp_stacks),
-            (c.lp_static, c.lp_stacks),
-            "{}: loop-sync funnel differs",
-            bench.id
-        );
-        assert_eq!(m.verdicts, c.verdicts, "{}: verdicts differ", bench.id);
-        assert_eq!(
-            m.detected_known_bug, c.detected_known_bug,
-            "{}: known-bug confirmation differs",
-            bench.id
-        );
-        let pairs = |r: &dcatch::BenchmarkReport| {
-            r.reports
-                .iter()
-                .map(|b| (b.candidate.static_pair, b.verdict))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(pairs(&m), pairs(&c), "{}: reported pairs differ", bench.id);
+/// One benchmark's expected Tables 4/5/9 results.
+struct Golden {
+    id: &'static str,
+    /// TA / TA+SP / TA+SP+LP as (static pairs, callstack pairs).
+    ta: (usize, usize),
+    sp: (usize, usize),
+    lp: (usize, usize),
+    /// Harmful / benign / serial, static then callstack.
+    verdicts: [usize; 6],
+    known_bug: bool,
+    /// Reported `(static_pair, verdict)` list, in report order.
+    reports: &'static [(&'static str, &'static str, Option<Verdict>)],
+    /// Trace-analysis `(static, callstack)` counts per `Ablation::TABLE9`.
+    table9: [(usize, usize); 4],
+}
 
-        // Table 9 ablation counts (trace analysis only, per rule family)
-        for ablation in dcatch::Ablation::TABLE9 {
-            let run = |mode| {
-                let mut opts = PipelineOptions::trace_analysis_only();
-                opts.ablation = ablation;
-                opts.hb.reachability = mode;
-                let r = Pipeline::run(&bench, &opts).unwrap();
-                (r.ta_static, r.ta_stacks)
-            };
+/// Tables 4, 5 and 9, pinned: the candidate funnel, verdict tallies,
+/// known-bug confirmation, reported pairs with their verdicts, and the
+/// ablation counts of every benchmark. These rows were recorded with the
+/// bit-matrix engine before it was deleted and are unchanged under the
+/// chain-clock engine.
+#[test]
+fn detection_results_match_tables_4_5_9() {
+    use Verdict::{BenignRace, Harmful, Serial};
+    #[rustfmt::skip]
+    let golden = [
+    Golden {
+        id: "CA-1011",
+        ta: (12, 12),
+        sp: (7, 7),
+        lp: (7, 7),
+        verdicts: [3, 4, 0, 3, 4, 0],
+        known_bug: true,
+        reports: &[
+            ("f2:0", "f4:0", Some(BenignRace)),
+            ("f2:0", "f4:2", Some(BenignRace)),
+            ("f2:0", "f5:1", Some(Harmful)),
+            ("f2:0", "f8:0", Some(BenignRace)),
+            ("f2:1", "f14:0", Some(BenignRace)),
+            ("f4:0", "f5:1", Some(Harmful)),
+            ("f4:2", "f5:1", Some(Harmful)),
+        ],
+        table9: [(8, 8), (12, 12), (8, 8), (12, 12)],
+    },
+    Golden {
+        id: "HB-4539",
+        ta: (5, 5),
+        sp: (3, 3),
+        lp: (3, 3),
+        verdicts: [2, 1, 0, 2, 1, 0],
+        known_bug: true,
+        reports: &[
+            ("f1:0", "f7:1", Some(Harmful)),
+            ("f5:1", "f7:1", Some(Harmful)),
+            ("f5:4", "f7:1", Some(BenignRace)),
+        ],
+        table9: [(6, 6), (7, 7), (5, 5), (7, 7)],
+    },
+    Golden {
+        id: "HB-4729",
+        ta: (7, 7),
+        sp: (2, 2),
+        lp: (2, 2),
+        verdicts: [1, 1, 0, 1, 1, 0],
+        known_bug: true,
+        reports: &[
+            ("f1:3", "f4:1", Some(Harmful)),
+            ("f13:0", "f15:0", Some(BenignRace)),
+        ],
+        table9: [(6, 6), (5, 5), (7, 7), (6, 6)],
+    },
+    Golden {
+        id: "MR-3274",
+        ta: (11, 11),
+        sp: (10, 10),
+        lp: (8, 8),
+        verdicts: [1, 6, 1, 1, 6, 1],
+        known_bug: true,
+        reports: &[
+            ("f1:0", "f4:0", Some(BenignRace)),
+            ("f1:2", "f6:3", Some(BenignRace)),
+            ("f3:0", "f4:0", Some(Harmful)),
+            ("f12:1", "f12:3", Some(BenignRace)),
+            ("f12:1", "f12:4", Some(BenignRace)),
+            ("f12:3", "f12:4", Some(BenignRace)),
+            ("f12:3", "f14:2", Some(BenignRace)),
+            ("f12:3", "f14:7", Some(Serial)),
+        ],
+        table9: [(10, 10), (12, 12), (11, 11), (11, 11)],
+    },
+    Golden {
+        id: "MR-4637",
+        ta: (6, 6),
+        sp: (4, 4),
+        lp: (3, 3),
+        verdicts: [1, 2, 0, 1, 2, 0],
+        known_bug: true,
+        reports: &[
+            ("f2:0", "f3:0", Some(Harmful)),
+            ("f2:3", "f3:0", Some(BenignRace)),
+            ("f14:0", "f16:0", Some(BenignRace)),
+        ],
+        table9: [(6, 6), (9, 9), (6, 6), (6, 6)],
+    },
+    Golden {
+        id: "ZK-1144",
+        ta: (6, 6),
+        sp: (1, 1),
+        lp: (1, 1),
+        verdicts: [1, 0, 0, 1, 0, 0],
+        known_bug: true,
+        reports: &[
+            ("f0:1", "f2:0", Some(Harmful)),
+        ],
+        table9: [(6, 6), (6, 6), (3, 3), (6, 6)],
+    },
+    Golden {
+        id: "ZK-1270",
+        ta: (10, 10),
+        sp: (8, 8),
+        lp: (6, 6),
+        verdicts: [1, 4, 1, 1, 4, 1],
+        known_bug: true,
+        reports: &[
+            ("f0:2", "f1:0", Some(Harmful)),
+            ("f0:5", "f1:6", Some(BenignRace)),
+            ("f0:10", "f1:6", Some(Serial)),
+            ("f1:4", "f1:6", Some(BenignRace)),
+            ("f1:4", "f1:7", Some(BenignRace)),
+            ("f1:6", "f1:7", Some(BenignRace)),
+        ],
+        table9: [(10, 10), (10, 10), (7, 7), (10, 10)],
+    },
+    ];
+    let benches = dcatch::all_benchmarks();
+    assert_eq!(benches.len(), golden.len());
+    for (bench, g) in benches.iter().zip(&golden) {
+        assert_eq!(bench.id, g.id);
+        let r = Pipeline::run(bench, &PipelineOptions::full()).unwrap();
+        assert_eq!((r.ta_static, r.ta_stacks), g.ta, "{}: TA", g.id);
+        assert_eq!((r.sp_static, r.sp_stacks), g.sp, "{}: TA+SP", g.id);
+        assert_eq!((r.lp_static, r.lp_stacks), g.lp, "{}: TA+SP+LP", g.id);
+        let v = r.verdicts;
+        let verdicts = [
+            v.bug_static,
+            v.benign_static,
+            v.serial_static,
+            v.bug_stacks,
+            v.benign_stacks,
+            v.serial_stacks,
+        ];
+        assert_eq!(verdicts, g.verdicts, "{}: verdicts", g.id);
+        assert_eq!(r.detected_known_bug, g.known_bug, "{}: known bug", g.id);
+        let reports: Vec<(String, String, Option<Verdict>)> = r
+            .reports
+            .iter()
+            .map(|b| {
+                let (s, t) = b.candidate.static_pair;
+                (s.to_string(), t.to_string(), b.verdict)
+            })
+            .collect();
+        let expected: Vec<(String, String, Option<Verdict>)> = g
+            .reports
+            .iter()
+            .map(|&(s, t, v)| (s.to_owned(), t.to_owned(), v))
+            .collect();
+        assert_eq!(reports, expected, "{}: reported pairs", g.id);
+
+        for (ablation, &counts) in dcatch::Ablation::TABLE9.into_iter().zip(&g.table9) {
+            let mut opts = PipelineOptions::trace_analysis_only();
+            opts.ablation = ablation;
+            let r = Pipeline::run(bench, &opts).unwrap();
             assert_eq!(
-                run(ReachabilityMode::Matrix),
-                run(ReachabilityMode::Clocks),
-                "{} ablation {ablation:?}: counts differ",
-                bench.id
+                (r.ta_static, r.ta_stacks),
+                counts,
+                "{} ablation {ablation:?}",
+                g.id
             );
         }
     }

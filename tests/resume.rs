@@ -101,22 +101,26 @@ fn finished_journal_skips_every_benchmark_and_tolerates_a_torn_tail() {
 #[test]
 fn tiny_memory_budget_degrades_instead_of_dying() {
     let mut opts = PipelineOptions::full();
-    opts.mem_budget = Some(2 << 10);
-    let mut degradations = 0;
-    for bench in dcatch::all_benchmarks() {
-        let report = Pipeline::run(&bench, &opts)
-            .unwrap_or_else(|e| panic!("{} must survive a 2 KiB budget: {e}", bench.id));
+    // 256 B is below the old chunk walk's 64-record floor (512 B), so the
+    // chunk size must come from the clock formula for this to pass
+    for budget in [2 << 10, 256] {
+        opts.mem_budget = Some(budget);
+        let mut degradations = 0;
+        for bench in dcatch::all_benchmarks() {
+            let report = Pipeline::run(&bench, &opts)
+                .unwrap_or_else(|e| panic!("{} must survive a {budget} B budget: {e}", bench.id));
+            assert!(
+                report.oom.is_none(),
+                "{}: under {budget} B the governor degrades before the analysis can OOM",
+                bench.id
+            );
+            degradations += report.degradations.len();
+        }
         assert!(
-            report.oom.is_none(),
-            "{}: the governor degrades before the analysis can OOM",
-            bench.id
+            degradations > 0,
+            "a {budget} B budget must force degradation steps somewhere in the suite"
         );
-        degradations += report.degradations.len();
     }
-    assert!(
-        degradations > 0,
-        "a 2 KiB budget must force degradation steps somewhere in the suite"
-    );
 
     // --degrade off restores the historical behavior: budgets are ignored
     opts.degrade = DegradeMode::Off;
@@ -138,8 +142,18 @@ fn scrubbed(bench: &dcatch::Benchmark, opts: &PipelineOptions) -> String {
 /// real footprint never fires a rung, and the report is byte-identical to
 /// a governor-less run. Warm-up runs first: metric names intern globally
 /// on first use, so a first run can mint names later snapshots zero-fill.
+/// That includes the degradation metrics which the concurrently running
+/// `tiny_memory_budget_degrades_instead_of_dying` mints, so the warm-up
+/// runs its degraded configurations too.
 #[test]
 fn ample_budget_is_equivalent_to_no_governor() {
+    for budget in [2 << 10, 256] {
+        let mut squeezed = PipelineOptions::full();
+        squeezed.mem_budget = Some(budget);
+        for bench in dcatch::all_benchmarks() {
+            let _warmup = Pipeline::run(&bench, &squeezed);
+        }
+    }
     let plain = PipelineOptions::full();
     let mut governed = PipelineOptions::full();
     governed.mem_budget = Some(1 << 40);

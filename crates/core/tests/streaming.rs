@@ -125,14 +125,19 @@ fn online_equals_offline_on_all_benchmarks() {
 
 /// Equivalence holds under the per-system fault matrix too — including
 /// crash plans, where the engine disables retirement (a crash is a
-/// spontaneous causal root the frontier cannot bound in advance).
+/// spontaneous causal root the frontier cannot bound in advance) — and
+/// under duplicated RPC requests, where a callee's second `RpcEnd` can
+/// come after the caller's `RpcJoin`: the join must take the latest reply
+/// *so far*, never a later one.
 #[test]
 fn online_equals_offline_under_fault_plans() {
     let per_bench = if soak() { usize::MAX } else { 2 };
+    let dup_rpc = dcatch::FaultPlan::parse("dup rpc").expect("valid plan");
     for bench in dcatch::all_benchmarks_scaled(1) {
         for sc in dcatch::fault_scenarios(&bench).into_iter().take(per_bench) {
             assert_equivalent(bench.id, sc.name, &bench, |o| o.faults = sc.plan.clone());
         }
+        assert_equivalent(bench.id, "dup rpc", &bench, |o| o.faults = dup_rpc.clone());
     }
 }
 

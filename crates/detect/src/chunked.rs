@@ -133,7 +133,6 @@ mod tests {
         let budget = ChainClocks::estimated_bytes(chunk, chunk.min(g));
         let cfg = HbConfig {
             memory_budget_bytes: budget,
-            ..HbConfig::default()
         };
         assert!(
             HbAnalysis::build(trace.clone(), &cfg).is_err(),

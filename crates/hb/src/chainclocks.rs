@@ -29,13 +29,13 @@
 //! Effectively Complete Dynamic Race Prediction") make the same bet:
 //! compact per-event ordering summaries, not dense closure.
 //!
-//! Clocks are computed by one forward sweep (every HB edge points forward
-//! in trace order, so predecessors are complete before their successors)
-//! and *maintained* incrementally afterwards: inserting an edge `u ⇒ v`
-//! joins `u`'s clock into `v`'s and pushes the growth forward through
-//! successors whose clocks actually change — the affected suffix of each
-//! chain, never the whole trace (see `HbAnalysis::add_edge_incremental`
-//! and `integrate_edges`).
+//! Clocks are computed in the same forward pass that decides the HB edges
+//! (every HB edge points forward in trace order, so predecessors are
+//! complete before their successors) and *maintained* incrementally
+//! afterwards: inserting a loop-sync edge `u ⇒ v` joins `u`'s clock into
+//! `v`'s and pushes the growth forward through successors whose clocks
+//! actually change — the affected suffix of each chain, never the whole
+//! trace (see `HbAnalysis::add_edge_incremental`).
 
 use std::collections::BTreeMap;
 
@@ -79,6 +79,19 @@ impl ChainClocks {
     /// yet). The caller folds HB edges in with [`ChainClocks::join_from`]
     /// in increasing vertex order.
     pub fn new(trace: &TraceSet) -> ChainClocks {
+        let mut clocks = ChainClocks::layout(trace);
+        for _ in 0..clocks.len() {
+            clocks.push_row(None);
+        }
+        clocks
+    }
+
+    /// The chain layout of `trace` with no clock rows yet; [`push_row`]
+    /// appends them in vertex order. The rows' memory is reserved but not
+    /// touched, so each row is written once, when its vertex is built.
+    ///
+    /// [`push_row`]: ChainClocks::push_row
+    pub(crate) fn layout(trace: &TraceSet) -> ChainClocks {
         let n = trace.len();
         let mut chains: BTreeMap<_, u32> = BTreeMap::new();
         let mut chain_of = Vec::with_capacity(n);
@@ -95,16 +108,26 @@ impl ChainClocks {
             pos_of.push(next_pos[c as usize]);
         }
         let g = chains.len();
-        let mut clocks = vec![0u32; n * g];
-        for v in 0..n {
-            clocks[v * g + chain_of[v] as usize] = pos_of[v];
-        }
         ChainClocks {
             chains: g,
             chain_of,
             pos_of,
-            clocks,
+            clocks: Vec::with_capacity(n * g),
         }
+    }
+
+    /// Appends the clock row of the next vertex `v`: a copy of vertex
+    /// `from`'s row (an HB predecessor of `v`) or all zeros, plus `v`'s own
+    /// position. A predecessor's entry on `v`'s chain counts records before
+    /// it, so it is below `pos(v)` and the copy equals a join.
+    pub(crate) fn push_row(&mut self, from: Option<usize>) {
+        let g = self.chains;
+        let v = self.clocks.len() / g;
+        match from {
+            Some(p) => self.clocks.extend_from_within(p * g..(p + 1) * g),
+            None => self.clocks.resize((v + 1) * g, 0),
+        }
+        self.clocks[v * g + self.chain_of[v] as usize] = self.pos_of[v];
     }
 
     /// Number of chains, `G`.
@@ -125,6 +148,11 @@ impl ChainClocks {
     /// Memory held by the clock rows, in bytes.
     pub fn bytes(&self) -> usize {
         self.clocks.len() * 4
+    }
+
+    /// Chain of vertex `v`.
+    pub(crate) fn chain(&self, v: usize) -> usize {
+        self.chain_of[v] as usize
     }
 
     /// Whether `a` happens before (or is) `b`: `b`'s frontier on `a`'s

@@ -1,12 +1,17 @@
 //! HB-graph construction and reachability queries (paper §3.2).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
+use dcatch_model::NodeId;
 use dcatch_obs::{counter, gauge};
-use dcatch_trace::{EventId, ExecCtx, OpKind, TaskId, TraceSet};
+use dcatch_trace::TraceSet;
 
 use crate::chainclocks::ChainClocks;
+use crate::rules::{Builder, QueueKey, Rules};
+
+/// No record yet on a chain.
+const NONE: u32 = u32::MAX;
 
 /// Which rule produced an edge (kept for explanations and debugging).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,16 +48,12 @@ pub struct HbConfig {
     /// analysis "will run out of JVM memory (50 GB of RAM)" on unselective
     /// traces (Table 8); this reproduces that failure mode at laptop scale.
     pub memory_budget_bytes: usize,
-    /// Whether to apply `Eserial` (it requires a fixed point and is the
-    /// only rule with non-local preconditions; kept togglable for tests).
-    pub apply_eserial: bool,
 }
 
 impl Default for HbConfig {
     fn default() -> HbConfig {
         HbConfig {
             memory_budget_bytes: 1 << 30, // 1 GiB
-            apply_eserial: true,
         }
     }
 }
@@ -109,23 +110,34 @@ impl HbAnalysis {
         }
         counter!("hb_nodes_total").add(n as u64);
         let mut a = HbAnalysis {
-            trace,
+            // moved in after the pass; the rules borrow it meanwhile
+            trace: TraceSet::new(),
             edges: vec![Vec::new(); n],
             preds: vec![Vec::new(); n],
-            reach: ChainClocks::new(&TraceSet::new()),
+            reach: ChainClocks::layout(&trace),
             edge_count: 0,
         };
-        a.add_program_order_edges();
-        a.add_thread_edges();
-        a.add_event_enqueue_edges();
-        a.add_rpc_edges();
-        a.add_socket_edges();
-        a.add_push_edges();
-        a.add_crash_edges();
-        a.recompute_reach();
-        if config.apply_eserial {
-            a.apply_eserial_fixed_point();
+        // one forward pass: every predecessor of record `v` precedes it, so
+        // its clock is final and `v`'s clock is complete once its edges are
+        // joined in
+        let mut rules = Rules::new(true);
+        let mut last = vec![NONE; a.reach.chains()];
+        for (v, r) in trace.records().iter().enumerate() {
+            let chain = a.reach.chain(v);
+            if last[chain] != NONE {
+                a.link(last[chain] as usize, v, EdgeRule::Program);
+            }
+            let mut b = Offline {
+                trace: &trace,
+                a: &mut a,
+                last: &last,
+                v,
+            };
+            rules.apply(r, &mut b);
+            a.join_preds(v);
+            last[chain] = v as u32;
         }
+        a.trace = trace;
         counter!("hb_edges_total").add(a.edge_count as u64);
         Ok(a)
     }
@@ -263,18 +275,38 @@ impl HbAnalysis {
 
     // -- construction ------------------------------------------------------
 
-    fn add_edge(&mut self, u: usize, v: usize, rule: EdgeRule) -> bool {
-        debug_assert!(
-            self.trace.records()[u].seq <= self.trace.records()[v].seq,
-            "HB edges must go forward in sequence order"
-        );
-        if self.edges[u].iter().any(|&(t, _)| t as usize == v) {
-            return false;
-        }
+    fn push_edge(&mut self, u: usize, v: usize, rule: EdgeRule) {
+        // records are indexed in sequence order
+        debug_assert!(u < v, "HB edges must go forward in sequence order");
         self.edges[u].push((v as u32, rule));
         self.preds[v].push((u as u32, rule));
         self.edge_count += 1;
-        true
+    }
+
+    /// Build-time edge `u ⇒ v` into the record `v` being built. Edges
+    /// arrive in increasing `v`, so a duplicate is always `u`'s latest
+    /// edge; the first rule to order a pair names it.
+    fn link(&mut self, u: usize, v: usize, rule: EdgeRule) {
+        if self.edges[u].last().is_none_or(|&(t, _)| t as usize != v) {
+            self.push_edge(u, v, rule);
+        }
+    }
+
+    /// Builds `v`'s clock row from its predecessors' (all final). The row
+    /// starts as a copy of the first predecessor's (the program-order one,
+    /// if `v` has any); the rest are joined latest first and skipped when
+    /// `v` already covers them — clocks are exact, so a covered
+    /// predecessor's whole clock is already in. Serial chains (`Eserial`
+    /// from every earlier handler of a queue) then cost one join, not one
+    /// per edge.
+    fn join_preds(&mut self, v: usize) {
+        let preds = &self.preds[v];
+        self.reach.push_row(preds.first().map(|&(p, _)| p as usize));
+        for &(p, _) in preds.iter().skip(1).rev() {
+            if !self.reach.reaches(p as usize, v) {
+                self.reach.join_from(p as usize, v);
+            }
+        }
     }
 
     /// Adds `u → v` to an analysis whose reachability index is already
@@ -288,10 +320,10 @@ impl HbAnalysis {
     /// already covers the grown vertex's frontier stops propagation, and
     /// nothing beyond it can change either.
     fn add_edge_incremental(&mut self, u: usize, v: usize, rule: EdgeRule) -> bool {
-        debug_assert_eq!(self.reach.len(), self.trace.len(), "reach not built yet");
-        if !self.add_edge(u, v, rule) {
+        if self.edges[u].iter().any(|&(t, _)| t as usize == v) {
             return false;
         }
+        self.push_edge(u, v, rule);
         counter!("hb_reach_delta_edges_total").inc();
         if !self.reach.join_from(u, v) {
             return true;
@@ -306,374 +338,62 @@ impl HbAnalysis {
         }
         true
     }
+}
 
-    /// Folds a batch of freshly inserted edges (already present in
-    /// `edges`/`preds`, not yet in `reach`) into the reachability index
-    /// with one partial forward sweep from the lowest new destination: a
-    /// vertex re-joins if it gained an in-edge or a predecessor's clock
-    /// advanced. Every edge points forward in index order, so each
-    /// predecessor is final before its successors are visited. The cost
-    /// is proportional to the affected suffix rather than the whole graph
-    /// — and unlike per-edge propagation, each affected vertex absorbs
-    /// the whole batch's delta once instead of once per edge.
-    fn integrate_edges(&mut self, new_edges: &[(usize, usize)]) {
-        if new_edges.is_empty() {
-            return;
-        }
-        counter!("hb_reach_delta_edges_total").add(new_edges.len() as u64);
-        let n = self.trace.len();
-        let mut by_dst: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut lo = n;
-        for &(u, v) in new_edges {
-            by_dst.entry(v).or_default().push(u);
-            lo = lo.min(v);
-        }
-        let mut changed = vec![false; n];
-        for i in lo..n {
-            let mut grew = false;
-            if let Some(us) = by_dst.get(&i) {
-                for &u in us {
-                    grew |= self.reach.join_from(u, i);
-                }
-            }
-            for &(p, _) in &self.preds[i] {
-                let p = p as usize;
-                if p >= lo && changed[p] {
-                    grew |= self.reach.join_from(p, i);
-                }
-            }
-            changed[i] = grew;
-        }
+/// The offline builder as the rules see it: cause sources are record
+/// indices, and record `v` is the one being built.
+struct Offline<'a> {
+    trace: &'a TraceSet,
+    a: &'a mut HbAnalysis,
+    /// Latest record of each chain before `v` ([`NONE`] if none).
+    last: &'a [u32],
+    v: usize,
+}
+
+impl Builder for Offline<'_> {
+    type Src = u32;
+
+    fn source(&mut self) -> u32 {
+        self.v as u32
     }
 
-    /// `Preg` / `Pnreg`: chain consecutive records of the same
-    /// program-order group (task + context instance).
-    fn add_program_order_edges(&mut self) {
-        let mut last: BTreeMap<(TaskId, ExecCtx), usize> = BTreeMap::new();
-        let n = self.trace.len();
-        for i in 0..n {
-            let r = &self.trace.records()[i];
-            let key = (r.task, r.ctx);
-            if let Some(&p) = last.get(&key) {
-                self.add_edge(p, i, EdgeRule::Program);
-            }
-            last.insert(key, i);
-        }
+    fn join(&mut self, &u: &u32, rule: EdgeRule) {
+        self.a.link(u as usize, self.v, rule);
     }
 
-    /// `Tfork` / `Tjoin`.
-    fn add_thread_edges(&mut self) {
-        // first ThreadBegin and ThreadEnd per task
-        let mut begin: BTreeMap<TaskId, usize> = BTreeMap::new();
-        let mut end: BTreeMap<TaskId, usize> = BTreeMap::new();
-        for (i, r) in self.trace.records().iter().enumerate() {
-            match r.kind {
-                OpKind::ThreadBegin => {
-                    begin.entry(r.task).or_insert(i);
-                }
-                OpKind::ThreadEnd => {
-                    end.insert(r.task, i);
-                }
-                _ => {}
-            }
-        }
-        let mut fork_edges = Vec::new();
-        let mut join_edges = Vec::new();
-        for (i, r) in self.trace.records().iter().enumerate() {
-            match &r.kind {
-                OpKind::ThreadCreate { child } => {
-                    if let Some(&b) = begin.get(child) {
-                        fork_edges.push((i, b));
-                    }
-                }
-                OpKind::ThreadJoin { child } => {
-                    if let Some(&e) = end.get(child) {
-                        join_edges.push((e, i));
-                    }
-                }
-                _ => {}
-            }
-        }
-        for (u, v) in fork_edges {
-            self.add_edge(u, v, EdgeRule::Fork);
-        }
-        for (u, v) in join_edges {
-            self.add_edge(u, v, EdgeRule::Join);
-        }
+    fn reaches(&self, a: u32, &b: &u32) -> bool {
+        self.a.reach.reaches(a as usize, b as usize)
     }
 
-    /// `Eenq`.
-    fn add_event_enqueue_edges(&mut self) {
-        let mut create: BTreeMap<EventId, usize> = BTreeMap::new();
-        for (i, r) in self.trace.records().iter().enumerate() {
-            if let OpKind::EventCreate { event } = r.kind {
-                create.insert(event, i);
-            }
-        }
-        let mut edges = Vec::new();
-        for (i, r) in self.trace.records().iter().enumerate() {
-            if let OpKind::EventBegin { event } = r.kind {
-                if let Some(&c) = create.get(&event) {
-                    edges.push((c, i));
-                }
-            }
-        }
-        for (u, v) in edges {
-            self.add_edge(u, v, EdgeRule::Eenq);
-        }
-    }
-
-    /// `Mrpc`.
-    fn add_rpc_edges(&mut self) {
-        let mut create = BTreeMap::new();
-        let mut end = BTreeMap::new();
-        for (i, r) in self.trace.records().iter().enumerate() {
-            match r.kind {
-                OpKind::RpcCreate { rpc } => {
-                    create.insert(rpc, i);
-                }
-                OpKind::RpcEnd { rpc } => {
-                    end.insert(rpc, i);
-                }
-                _ => {}
-            }
-        }
-        let mut edges = Vec::new();
-        for (i, r) in self.trace.records().iter().enumerate() {
-            match r.kind {
-                OpKind::RpcBegin { rpc } => {
-                    if let Some(&c) = create.get(&rpc) {
-                        edges.push((c, i, EdgeRule::Mrpc));
-                    }
-                }
-                OpKind::RpcJoin { rpc } => {
-                    if let Some(&e) = end.get(&rpc) {
-                        edges.push((e, i, EdgeRule::Mrpc));
-                    }
-                }
-                _ => {}
-            }
-        }
-        for (u, v, r) in edges {
-            self.add_edge(u, v, r);
-        }
-    }
-
-    /// `Msoc`.
-    fn add_socket_edges(&mut self) {
-        let mut send = BTreeMap::new();
-        for (i, r) in self.trace.records().iter().enumerate() {
-            if let OpKind::SocketSend { msg } = r.kind {
-                send.insert(msg, i);
-            }
-        }
-        let mut edges = Vec::new();
-        for (i, r) in self.trace.records().iter().enumerate() {
-            if let OpKind::SocketRecv { msg } = r.kind {
-                if let Some(&s) = send.get(&msg) {
-                    edges.push((s, i));
-                }
-            }
-        }
-        for (u, v) in edges {
-            self.add_edge(u, v, EdgeRule::Msoc);
-        }
-    }
-
-    /// `Mpush`: pair updates with pushed notifications by (path, version).
-    fn add_push_edges(&mut self) {
-        let mut update: BTreeMap<(String, u64), usize> = BTreeMap::new();
-        for (i, r) in self.trace.records().iter().enumerate() {
-            if let OpKind::ZkUpdate { path, version } = &r.kind {
-                update.insert((path.clone(), *version), i);
-            }
-        }
-        let mut edges = Vec::new();
-        for (i, r) in self.trace.records().iter().enumerate() {
-            if let OpKind::ZkPushed { path, version } = &r.kind {
-                if let Some(&u) = update.get(&(path.clone(), *version)) {
-                    edges.push((u, i));
-                }
-            }
-        }
-        for (u, v) in edges {
-            self.add_edge(u, v, EdgeRule::Mpush);
-        }
-    }
-
-    /// Fault-injection crash/restart ordering. A `NodeCrash` record is
-    /// ordered after the last record of every program-order group on the
-    /// crashed node; a `NodeRestart` record is ordered before the first
-    /// record of every group the reborn node produces. (`RpcTimeout`
-    /// records need no extra rule: the timeout happens at the caller, so
-    /// plain program order covers it.) The crash record shares a
-    /// program-order group with the restart record, which chains
-    /// pre-crash ⇒ crash ⇒ restart ⇒ post-restart.
-    fn add_crash_edges(&mut self) {
-        let n = self.trace.len();
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        for i in 0..n {
-            let r = &self.trace.records()[i];
-            match r.kind {
-                OpKind::NodeCrash { node } => {
-                    let mut last: BTreeMap<(TaskId, ExecCtx), usize> = BTreeMap::new();
-                    for (j, c) in self.trace.records().iter().enumerate().take(i) {
-                        if c.task.node == node {
-                            last.insert((c.task, c.ctx), j);
-                        }
-                    }
-                    let own = (r.task, r.ctx);
-                    for (key, &j) in &last {
-                        // the crash record's own group is already chained
-                        // by program order
-                        if *key != own {
-                            edges.push((j, i));
-                        }
-                    }
-                }
-                OpKind::NodeRestart { node } => {
-                    let mut seen: BTreeSet<(TaskId, ExecCtx)> = BTreeSet::new();
-                    let own = (r.task, r.ctx);
-                    for j in i + 1..n {
-                        let c = &self.trace.records()[j];
-                        if c.task.node == node {
-                            let key = (c.task, c.ctx);
-                            if key != own && seen.insert(key) {
-                                edges.push((i, j));
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        for (u, v) in edges {
-            self.add_edge(u, v, EdgeRule::Crash);
-        }
-    }
-
-    /// `Eserial`, applied last and repeated to a fixed point (§3.2.1):
-    /// for events of the same single-consumer queue, `End(e1) ⇒ Begin(e2)`
-    /// whenever `Create(e1) ⇒ Create(e2)`.
-    fn apply_eserial_fixed_point(&mut self) {
-        #[derive(Debug)]
-        struct Ev {
-            create: usize,
-            begin: usize,
-            end: Option<usize>,
-        }
-        // events grouped by single-consumer queue
-        let mut by_queue: BTreeMap<(u32, String), BTreeMap<EventId, Ev>> = BTreeMap::new();
-        for (i, r) in self.trace.records().iter().enumerate() {
-            let event = match r.kind {
-                OpKind::EventCreate { event }
-                | OpKind::EventBegin { event }
-                | OpKind::EventEnd { event } => event,
-                _ => continue,
-            };
-            let Some((node, queue)) = self.trace.event_queue(event.0) else {
-                continue;
-            };
-            let single = self
-                .trace
-                .queue_info(*node, queue)
-                .is_some_and(|q| q.is_single_consumer());
-            if !single {
-                continue;
-            }
-            let key = (node.0, queue.to_owned());
-            let slot = by_queue.entry(key).or_default();
-            match r.kind {
-                OpKind::EventCreate { .. } => {
-                    slot.entry(event).or_insert(Ev {
-                        create: i,
-                        begin: usize::MAX,
-                        end: None,
-                    });
-                }
-                OpKind::EventBegin { .. } => {
-                    if let Some(ev) = slot.get_mut(&event) {
-                        ev.begin = i;
-                    }
-                }
-                OpKind::EventEnd { .. } => {
-                    if let Some(ev) = slot.get_mut(&event) {
-                        ev.end = Some(i);
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Queues are scanned repeatedly; each pass's newly discovered
-        // edges (across every queue) are folded into the reachability
-        // index in one batched partial sweep (`integrate_edges`) before
-        // the next pass — where a full recompute would pay a complete
-        // O(n·G) sweep per dependency layer. One batch per
-        // pass, not per queue, keeps the sweep count independent of how
-        // many queues the trace has. `done` bitsets remember which pairs
-        // already produced an edge so rescans cost O(1) per pair.
-        let queues: Vec<Vec<&Ev>> = by_queue
-            .values()
-            .map(|events| {
-                events
-                    .values()
-                    .filter(|e| e.begin != usize::MAX && e.end.is_some())
-                    .collect()
-            })
-            .collect();
-        let mut done: Vec<Vec<u64>> = queues
+    fn join_node(&mut self, node: NodeId) {
+        let own = self.a.reach.chain(self.v);
+        let records = self.trace.records();
+        let mut groups: Vec<_> = self
+            .last
             .iter()
-            .map(|evs| vec![0u64; (evs.len() * evs.len()).div_ceil(64)])
+            .enumerate()
+            .filter(|&(c, &p)| c != own && p != NONE)
+            .map(|(_, &p)| (&records[p as usize], p))
+            .filter(|(r, _)| r.task.node == node)
+            .map(|(r, p)| ((r.task, r.ctx), p))
             .collect();
-        let mut pending: Vec<(usize, usize)> = Vec::new();
-        loop {
-            counter!("hb_eserial_iterations_total").inc();
-            pending.clear();
-            for (evs, done) in queues.iter().zip(done.iter_mut()) {
-                let m = evs.len();
-                for (i1, e1) in evs.iter().enumerate() {
-                    let end1 = e1.end.expect("filtered");
-                    for (i2, e2) in evs.iter().enumerate() {
-                        if end1 >= e2.begin {
-                            continue; // edges must go forward in seq order
-                        }
-                        let bit = i1 * m + i2;
-                        if done[bit / 64] & (1u64 << (bit % 64)) != 0 {
-                            continue;
-                        }
-                        let c1c2 =
-                            e1.create != e2.create && self.reach.reaches(e1.create, e2.create);
-                        if c1c2 {
-                            if self.add_edge(end1, e2.begin, EdgeRule::Eserial) {
-                                pending.push((end1, e2.begin));
-                            }
-                            done[bit / 64] |= 1u64 << (bit % 64);
-                        }
-                    }
-                }
-            }
-            if pending.is_empty() {
-                break;
-            }
-            self.integrate_edges(&pending);
+        // group-key order, so the predecessor list does not depend on the
+        // order chains were first seen in
+        groups.sort_unstable();
+        for (_, p) in groups {
+            self.join(&p, EdgeRule::Crash);
         }
     }
 
-    /// Full sweep, run exactly once per build. Every edge goes from a
-    /// smaller to a larger index, so one pass in increasing order
-    /// suffices: each clock is the join of its predecessors' clocks plus
-    /// its own chain tick. All later edge insertions go through
-    /// `add_edge_incremental`/`integrate_edges`.
-    fn recompute_reach(&mut self) {
-        let _span = dcatch_obs::span!("hb.reach");
-        counter!("hb_reach_recomputes_total").inc();
-        let mut clocks = ChainClocks::new(&self.trace);
-        for (v, preds) in self.preds.iter().enumerate() {
-            for &(p, _) in preds {
-                clocks.join_from(p as usize, v);
-            }
-        }
-        self.reach = clocks;
+    fn first_in_group_after(&self, seq: u64) -> bool {
+        let p = self.last[self.a.reach.chain(self.v)];
+        p == NONE || self.trace.records()[p as usize].seq < seq
+    }
+
+    fn serial_queue(&mut self, event: u64) -> Option<QueueKey> {
+        let (node, queue) = self.trace.event_queue(event)?;
+        let single = self.trace.queue_info(*node, queue)?.is_single_consumer();
+        single.then(|| (node.0, queue.to_owned()))
     }
 }
 

@@ -2,7 +2,9 @@
 //!
 //! This crate turns a `dcatch-trace` [`TraceSet`](dcatch_trace::TraceSet)
 //! into a happens-before DAG and answers concurrency queries on it. The
-//! edges implement the full MTEP rule set:
+//! edges implement the full MTEP rule set, encoded once in `hb::rules` and
+//! shared by the offline graph ([`HbAnalysis`]) and the online frontier
+//! engine ([`FrontierEngine`]):
 //!
 //! | rule | causality |
 //! |------|-----------|
@@ -12,7 +14,7 @@
 //! | `Tfork`   | `Create(t) ⇒ Begin(t)` |
 //! | `Tjoin`   | `End(t) ⇒ Join(t)` |
 //! | `Eenq`    | `Create(e) ⇒ Begin(e)` |
-//! | `Eserial` | `End(e1) ⇒ Begin(e2)` for single-consumer FIFO queues when `Create(e1) ⇒ Create(e2)`, applied last, to a fixed point |
+//! | `Eserial` | `End(e1) ⇒ Begin(e2)` for single-consumer FIFO queues when `Create(e1) ⇒ Create(e2)`, decided when `Begin(e2)` arrives |
 //! | `Preg`    | program order in regular threads |
 //! | `Pnreg`   | program order *within* one handler instance only |
 //!
@@ -24,8 +26,9 @@
 //! Reachability is answered by one engine, [`ChainClocks`]:
 //! chain-decomposition vector clocks, one u32 frontier per program-order
 //! chain per record. That is `O(n·G)` memory over `G` chains (one per
-//! thread or handler instance), and it is exact for arbitrary HB DAGs. Every HB edge in a trace points from a
-//! smaller to a larger sequence number, so one forward sweep computes
+//! thread or handler instance), and it is exact for arbitrary HB DAGs.
+//! Every HB edge in a trace points from a smaller to a larger sequence
+//! number, so the one forward pass that decides the edges also computes
 //! every clock, and a concurrency check is two loads and a compare.
 //!
 //! The paper's own index (§3.2.2) is a bit-array reachable set per vertex.
@@ -43,6 +46,7 @@ mod ablation;
 mod bitmatrix;
 mod chainclocks;
 mod graph;
+mod rules;
 mod streaming;
 mod vectorclock;
 

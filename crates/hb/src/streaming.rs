@@ -11,20 +11,20 @@
 //!   position counter and a frontier clock (`frontier[c]` = how far into
 //!   slot `c`'s chain this chain's latest record can reach);
 //! * each MTEP edge becomes a *join* performed when its **target** record
-//!   arrives. Since every HB edge points forward in sequence order, the
-//!   clock of a record is complete the moment it arrives — reachability
-//!   *into* the new record can never change later, which is what makes the
-//!   one-sided online concurrency test exact;
-//! * edge sources whose targets have not arrived yet are held as pending
-//!   *causes* keyed by [`CauseKey`]; the simulator's
+//!   arrives, decided by the same `hb::rules` code the offline graph
+//!   uses, with clock snapshots as cause payloads. Since every HB edge
+//!   points forward in sequence order, the clock of a record is complete
+//!   the moment it arrives — reachability *into* the new record can never
+//!   change later, which is what makes the one-sided online concurrency
+//!   test exact;
+//! * edge sources whose targets have not arrived yet are held by the rules
+//!   as pending *causes* keyed by [`CauseKey`]; the simulator's
 //!   [`StreamControl::CauseFanout`]/[`CauseDropped`](StreamControl::CauseDropped)
 //!   notifications say when a cause can be discarded;
-//! * `Eserial` collapses to arrival order: when `Begin(e2)` arrives, every
-//!   already-*ended* event `e1` of the same single-consumer queue is tested
-//!   with `clock(Create(e2))[Create(e1)] ≥ pos(Create(e1))` — by induction
-//!   over sequence order this reproduces the batch fixed point, because a
-//!   forward-edge DAG's reachability into a vertex only depends on edges
-//!   whose targets precede it.
+//! * `Eserial` is decided in arrival order, exactly as offline: when
+//!   `Begin(e2)` arrives, every already-*ended* event `e1` of the same
+//!   single-consumer queue is tested with
+//!   `clock(Create(e2))[Create(e1)] ≥ pos(Create(e1))`.
 //!
 //! **Retirement.** [`FrontierEngine::lower_bound`] returns the elementwise
 //! minimum `L` over every clock that can still flow into a future record:
@@ -43,7 +43,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dcatch_model::NodeId;
-use dcatch_trace::{CauseKey, ExecCtx, OpKind, QueueInfo, Record, StreamControl, TaskId};
+use dcatch_trace::{CauseKey, ExecCtx, QueueInfo, Record, StreamControl, TaskId};
+
+use crate::rules::{Builder, QueueKey, Rules, Source};
+use crate::EdgeRule;
 
 /// Configuration for [`FrontierEngine`].
 #[derive(Debug, Clone)]
@@ -51,7 +54,7 @@ pub struct FrontierOptions {
     /// Derive `Eserial` edges natively while streaming. The loop-sync
     /// second pass disables this and replays the first pass's edges via
     /// [`FrontierEngine::inject_eserial`] instead, mirroring the batch
-    /// pipeline (which never re-runs the fixed point after
+    /// pipeline (which never re-derives `Eserial` after
     /// `add_edges_and_rebuild`).
     pub eserial: bool,
     /// Allow [`lower_bound`](FrontierEngine::lower_bound) to prove window
@@ -84,36 +87,31 @@ struct Slot {
     frontier: Vec<u32>,
     /// Last position handed out; never reset, even when recycled.
     pos: u32,
+    /// Sequence number of the chain's latest record.
+    last_seq: Option<u64>,
     key: Option<(TaskId, ExecCtx)>,
     live: bool,
     ended: bool,
-    has_thread_end: bool,
 }
 
-#[derive(Debug)]
-struct Cause {
+/// A record's clock snapshot: the online cause payload.
+#[derive(Debug, Clone)]
+struct Snap {
+    /// `(slot, pos)` of the source record.
+    id: (u32, u32),
     clock: Vec<u32>,
-    /// `(slot, pos)` of the source record (the `Eserial` create identity).
-    src: (u32, u32),
-    /// Remaining deliveries. `None` = fan-out not announced yet (network
-    /// sends announce after the record); treated as a retirement blocker.
-    refs: Option<u32>,
 }
 
-/// A begun single-consumer event awaiting its `EventEnd`.
-#[derive(Debug)]
-struct EvOpen {
-    queue: (u32, String),
-    create: (u32, u32),
+impl Source for Snap {
+    type Id = (u32, u32);
+    fn id(&self) -> (u32, u32) {
+        self.id
+    }
 }
 
-/// An ended single-consumer event — an eligible `Eserial` source.
-#[derive(Debug)]
-struct EvEnded {
-    event: u64,
-    create: (u32, u32),
-    end: (u32, u32),
-    end_clock: Vec<u32>,
+/// Whether every future record covers `(slot, pos)` under `bound`.
+fn covered(bound: &[u32], (slot, pos): (u32, u32)) -> bool {
+    bound.get(slot as usize).copied().unwrap_or(0) >= pos
 }
 
 /// The online happens-before engine. Feed it every [`Record`] and
@@ -126,23 +124,9 @@ pub struct FrontierEngine {
     registry: BTreeMap<(TaskId, ExecCtx), u32>,
     /// Entry tasks announced but not yet emitting: implicit zero clocks.
     pending_tasks: BTreeSet<TaskId>,
-    causes: BTreeMap<CauseKey, Cause>,
-    /// Latest restart clock per node: joined into every chain the reborn
-    /// node creates (reachability-equivalent to the batch rule's edge per
-    /// restart record, because consecutive restarts are chained by program
-    /// order).
-    restart_clock: BTreeMap<NodeId, Vec<u32>>,
-    // --- Eserial state ---
-    queues: BTreeMap<(u32, String), QueueInfo>,
-    event_queue: BTreeMap<u64, (u32, String)>,
-    open: BTreeMap<u64, EvOpen>,
-    ended: BTreeMap<(u32, String), Vec<EvEnded>>,
-    /// `(e1, e2)` pairs derived natively this run, for the loop-sync pass.
-    eserial_log: Vec<(u64, u64)>,
-    // --- injected edges (loop-sync second pass) ---
-    inj_source_set: BTreeSet<u64>,
-    inj_targets: BTreeMap<u64, Vec<u64>>,
-    inj_sources: BTreeMap<u64, Vec<u32>>,
+    queues: BTreeMap<QueueKey, QueueInfo>,
+    event_queue: BTreeMap<u64, QueueKey>,
+    rules: Rules<Snap>,
 }
 
 fn join_clock(dst: &mut Vec<u32>, src: &[u32]) {
@@ -160,6 +144,7 @@ impl FrontierEngine {
     /// Creates an engine.
     pub fn new(opts: FrontierOptions) -> FrontierEngine {
         FrontierEngine {
+            rules: Rules::new(opts.eserial),
             opts,
             ..FrontierEngine::default()
         }
@@ -168,10 +153,7 @@ impl FrontierEngine {
     /// Replays `End(e1) ⇒ Begin(e2)` pairs derived by an earlier pass
     /// (second loop-sync run; see [`FrontierOptions::eserial`]).
     pub fn inject_eserial(&mut self, pairs: &[(u64, u64)]) {
-        for &(e1, e2) in pairs {
-            self.inj_source_set.insert(e1);
-            self.inj_targets.entry(e2).or_default().push(e1);
-        }
+        self.rules.replay_eserial(pairs);
     }
 
     /// Number of slots allocated so far (live + recyclable).
@@ -193,28 +175,33 @@ impl FrontierEngine {
 
     /// `(e1, e2)` `Eserial` pairs derived natively so far.
     pub fn eserial_edges(&self) -> &[(u64, u64)] {
-        &self.eserial_log
+        self.rules.eserial_log()
     }
 
     /// Rough resident-memory estimate of the engine state, in bytes.
     pub fn bytes(&self) -> usize {
         let clock = |c: &Vec<u32>| 4 * c.capacity() + 24;
+        let rules = &self.rules;
         let mut b = 0usize;
         for s in &self.slots {
             b += clock(&s.frontier) + 64;
         }
-        for c in self.causes.values() {
-            b += clock(&c.clock) + 80;
+        for c in rules.causes.values() {
+            b += clock(&c.src.clock) + 80;
         }
-        for list in self.ended.values() {
-            for e in list {
-                b += clock(&e.end_clock) + 64;
-            }
+        for e in rules.ended.values().flatten() {
+            b += clock(&e.end.clock) + 64;
         }
-        b += 96 * (self.open.len() + self.event_queue.len() + self.queues.len());
+        for s in rules.thread_end.values() {
+            b += clock(&s.clock) + 48;
+        }
+        for (_, s) in rules.restarts.values().flatten() {
+            b += clock(&s.clock) + 48;
+        }
+        b += 96 * (rules.open_events() + self.event_queue.len() + self.queues.len());
         b += 48 * (self.registry.len() + self.free.len() + self.pending_tasks.len());
-        for c in self.inj_sources.values() {
-            b += clock(c);
+        for s in rules.replay_ends.values() {
+            b += clock(&s.clock);
         }
         b
     }
@@ -241,33 +228,11 @@ impl FrontierEngine {
                     // boot placeholder, and (for a thread killed before
                     // its first step) the pending fork cause
                     self.pending_tasks.remove(task);
-                    self.drop_cause(&CauseKey::ThreadBegin(*task));
+                    self.rules.drop_cause(&CauseKey::ThreadBegin(*task));
                 }
             }
-            StreamControl::CauseFanout { key, copies } => {
-                if let Some(c) = self.causes.get_mut(key) {
-                    let total = c.refs.unwrap_or(0) + copies;
-                    if total == 0 {
-                        self.causes.remove(key);
-                    } else {
-                        c.refs = Some(total);
-                    }
-                }
-            }
-            StreamControl::CauseDropped { key } => {
-                self.drop_cause(key);
-            }
-        }
-    }
-
-    fn drop_cause(&mut self, key: &CauseKey) {
-        if let Some(c) = self.causes.get_mut(key) {
-            match c.refs {
-                Some(n) if n > 1 => c.refs = Some(n - 1),
-                _ => {
-                    self.causes.remove(key);
-                }
-            }
+            StreamControl::CauseFanout { key, copies } => self.rules.fanout(key, *copies),
+            StreamControl::CauseDropped { key } => self.rules.drop_cause(key),
         }
     }
 
@@ -277,124 +242,23 @@ impl FrontierEngine {
         let chain = self.chain_for(r.task, r.ctx);
         let ci = chain as usize;
         // program order: tick own position
-        let pos = {
-            let s = &mut self.slots[ci];
-            s.pos += 1;
-            if s.frontier.len() <= ci {
-                s.frontier.resize(ci + 1, 0);
-            }
-            s.frontier[ci] = s.pos;
-            s.pos
-        };
-        match &r.kind {
-            // --- Tfork / Tjoin ---
-            OpKind::ThreadCreate { child } => {
-                self.snapshot_cause(chain, CauseKey::ThreadBegin(*child), Some(1));
-            }
-            OpKind::ThreadBegin => {
-                self.resolve(chain, &CauseKey::ThreadBegin(r.task));
-            }
-            OpKind::ThreadEnd => {
-                self.slots[ci].has_thread_end = true;
-            }
-            OpKind::ThreadJoin { child } => {
-                // the batch `end` map has no entry for killed children
-                if let Some(&cs) = self.registry.get(&(*child, ExecCtx::Regular)) {
-                    if self.slots[cs as usize].has_thread_end {
-                        let f = std::mem::take(&mut self.slots[cs as usize].frontier);
-                        join_clock(&mut self.slots[ci].frontier, &f);
-                        self.slots[cs as usize].frontier = f;
-                    }
-                }
-            }
-            // --- Eenq / Eserial ---
-            OpKind::EventCreate { event } => {
-                self.snapshot_cause(chain, CauseKey::EventBegin(event.0), Some(1));
-            }
-            OpKind::EventBegin { event } => {
-                let resolved = self.resolve(chain, &CauseKey::EventBegin(event.0));
-                let queue = self.event_queue.remove(&event.0);
-                if let (Some((create, create_clock)), Some(queue)) = (resolved, queue) {
-                    let single = self
-                        .queues
-                        .get(&queue)
-                        .is_some_and(|q| q.is_single_consumer());
-                    if single {
-                        if self.opts.eserial {
-                            self.eserial_begin(chain, event.0, &queue, create, &create_clock);
-                        }
-                        self.open.insert(event.0, EvOpen { queue, create });
-                    }
-                }
-                self.apply_injected(chain, event.0);
-            }
-            OpKind::EventEnd { event } => {
-                if let Some(open) = self.open.remove(&event.0) {
-                    let end_clock = self.slots[ci].frontier.clone();
-                    self.ended.entry(open.queue).or_default().push(EvEnded {
-                        event: event.0,
-                        create: open.create,
-                        end: (chain, pos),
-                        end_clock,
-                    });
-                }
-                if self.inj_source_set.contains(&event.0) {
-                    self.inj_sources
-                        .insert(event.0, self.slots[ci].frontier.clone());
-                }
-            }
-            // --- Mrpc ---
-            OpKind::RpcCreate { rpc } => {
-                self.snapshot_cause(chain, CauseKey::RpcBegin(rpc.0), None);
-            }
-            OpKind::RpcBegin { rpc } => {
-                self.resolve(chain, &CauseKey::RpcBegin(rpc.0));
-            }
-            OpKind::RpcEnd { rpc } => {
-                self.snapshot_cause(chain, CauseKey::RpcJoin(rpc.0), None);
-            }
-            OpKind::RpcJoin { rpc } => {
-                self.resolve(chain, &CauseKey::RpcJoin(rpc.0));
-            }
-            // --- Msoc ---
-            OpKind::SocketSend { msg } => {
-                self.snapshot_cause(chain, CauseKey::SocketRecv(msg.0), None);
-            }
-            OpKind::SocketRecv { msg } => {
-                self.resolve(chain, &CauseKey::SocketRecv(msg.0));
-            }
-            // --- Mpush ---
-            OpKind::ZkUpdate { path, version } => {
-                self.snapshot_cause(chain, CauseKey::ZkPushed(path.clone(), *version), None);
-            }
-            OpKind::ZkPushed { path, version } => {
-                self.resolve(chain, &CauseKey::ZkPushed(path.clone(), *version));
-            }
-            // --- Crash ---
-            OpKind::NodeCrash { node } => {
-                let mut joins: Vec<Vec<u32>> = Vec::new();
-                for (&(t, _), &s) in &self.registry {
-                    if t.node == *node && s != chain {
-                        joins.push(self.slots[s as usize].frontier.clone());
-                    }
-                }
-                for j in joins {
-                    join_clock(&mut self.slots[ci].frontier, &j);
-                }
-            }
-            OpKind::NodeRestart { node } => {
-                self.restart_clock
-                    .insert(*node, self.slots[ci].frontier.clone());
-            }
-            // memory, locks, loop markers, RPC timeouts: program order only
-            OpKind::MemRead { .. }
-            | OpKind::MemWrite { .. }
-            | OpKind::LockAcquire { .. }
-            | OpKind::LockRelease { .. }
-            | OpKind::LoopEnter { .. }
-            | OpKind::LoopExit { .. }
-            | OpKind::RpcTimeout { .. } => {}
+        let s = &mut self.slots[ci];
+        s.pos += 1;
+        if s.frontier.len() <= ci {
+            s.frontier.resize(ci + 1, 0);
         }
+        s.frontier[ci] = s.pos;
+        let pos = s.pos;
+        let prev_seq = s.last_seq.replace(r.seq);
+        let mut b = Online {
+            slots: &mut self.slots,
+            registry: &self.registry,
+            queues: &self.queues,
+            event_queue: &mut self.event_queue,
+            chain,
+            prev_seq,
+        };
+        self.rules.apply(r, &mut b);
         Arrival { chain, pos }
     }
 
@@ -409,7 +273,7 @@ impl FrontierEngine {
                 debug_assert!(!s.live);
                 s.live = true;
                 s.ended = false;
-                s.has_thread_end = false;
+                s.last_seq = None;
                 s.key = Some((task, ctx));
                 id
             }
@@ -417,105 +281,16 @@ impl FrontierEngine {
                 self.slots.push(Slot {
                     frontier: Vec::new(),
                     pos: 0,
+                    last_seq: None,
                     key: Some((task, ctx)),
                     live: true,
                     ended: false,
-                    has_thread_end: false,
                 });
                 (self.slots.len() - 1) as u32
             }
         };
         self.registry.insert((task, ctx), id);
-        if let Some(rc) = self.restart_clock.get(&task.node) {
-            let rc = rc.clone();
-            join_clock(&mut self.slots[id as usize].frontier, &rc);
-        }
         id
-    }
-
-    fn snapshot_cause(&mut self, chain: u32, key: CauseKey, refs: Option<u32>) {
-        let s = &self.slots[chain as usize];
-        let src = (chain, s.pos);
-        let clock = s.frontier.clone();
-        match self.causes.entry(key) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                // duplicate source record (a duplicated RPC request's second
-                // reply): last snapshot wins, pending deliveries carry over
-                let c = e.get_mut();
-                c.clock = clock;
-                c.src = src;
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(Cause { clock, src, refs });
-            }
-        }
-    }
-
-    /// Joins `key`'s cause into `chain` and consumes one delivery. Returns
-    /// the cause's source identity and clock, or `None` when no cause is
-    /// pending (the batch builder adds no edge then either).
-    fn resolve(&mut self, chain: u32, key: &CauseKey) -> Option<((u32, u32), Vec<u32>)> {
-        let (out, remove) = match self.causes.get_mut(key) {
-            None => return None,
-            Some(c) => {
-                join_clock(&mut self.slots[chain as usize].frontier, &c.clock);
-                let remove = match c.refs {
-                    Some(n) if n > 1 => {
-                        c.refs = Some(n - 1);
-                        false
-                    }
-                    Some(_) => true,
-                    None => false,
-                };
-                ((c.src, c.clock.clone()), remove)
-            }
-        };
-        if remove {
-            self.causes.remove(key);
-        }
-        Some(out)
-    }
-
-    /// The arrival-order `Eserial` test: join every already-ended event of
-    /// the same single-consumer queue whose create this begin's create can
-    /// reach.
-    fn eserial_begin(
-        &mut self,
-        chain: u32,
-        event: u64,
-        queue: &(u32, String),
-        create: (u32, u32),
-        create_clock: &[u32],
-    ) {
-        let mut joins: Vec<Vec<u32>> = Vec::new();
-        if let Some(list) = self.ended.get(queue) {
-            for e in list {
-                let reaches = e.create != create
-                    && create_clock.get(e.create.0 as usize).copied().unwrap_or(0) >= e.create.1;
-                if reaches {
-                    joins.push(e.end_clock.clone());
-                    self.eserial_log.push((e.event, event));
-                }
-            }
-        }
-        for j in joins {
-            join_clock(&mut self.slots[chain as usize].frontier, &j);
-        }
-    }
-
-    fn apply_injected(&mut self, chain: u32, event: u64) {
-        let Some(srcs) = self.inj_targets.get(&event) else {
-            return;
-        };
-        let mut joins: Vec<Vec<u32>> = Vec::new();
-        for e1 in srcs {
-            if let Some(cl) = self.inj_sources.get(e1) {
-                joins.push(cl.clone());
-            }
-        }
-        for j in joins {
-            join_clock(&mut self.slots[chain as usize].frontier, &j);
-        }
     }
 
     /// The retirement bound `L`: `L[c] ≥ p` proves record `(c, p)` is
@@ -538,24 +313,26 @@ impl FrontierEngine {
         for s in self.slots.iter().filter(|s| s.live && !s.ended) {
             clamp(&s.frontier);
         }
-        for c in self.causes.values() {
-            clamp(&c.clock);
+        for c in self.rules.causes.values() {
+            clamp(&c.src.clock);
         }
         Some(l)
     }
 
     /// Drops engine state the bound proves dead: ended `Eserial` sources
-    /// whose `End` every future record covers, and slots of ended chains
-    /// that are fully covered (their id goes back on the free list; the
-    /// position counter keeps counting, so old `(slot, pos)` identities
-    /// stay unique).
+    /// and `Tjoin` sources whose record every future record covers, and
+    /// slots of ended chains that are fully covered (their id goes back on
+    /// the free list; the position counter keeps counting, so old
+    /// `(slot, pos)` identities stay unique).
     pub fn retire(&mut self, bound: &[u32]) {
-        for list in self.ended.values_mut() {
-            list.retain(|e| bound.get(e.end.0 as usize).copied().unwrap_or(0) < e.end.1);
+        let rules = &mut self.rules;
+        for list in rules.ended.values_mut() {
+            list.retain(|e| !covered(bound, e.end.id));
         }
-        self.ended.retain(|_, list| !list.is_empty());
+        rules.ended.retain(|_, list| !list.is_empty());
+        rules.thread_end.retain(|_, s| !covered(bound, s.id));
         for (id, s) in self.slots.iter_mut().enumerate() {
-            if s.live && s.ended && bound.get(id).copied().unwrap_or(0) >= s.pos {
+            if s.live && s.ended && covered(bound, (id as u32, s.pos)) {
                 s.live = false;
                 s.frontier = Vec::new();
                 if let Some(key) = s.key.take() {
@@ -564,6 +341,62 @@ impl FrontierEngine {
                 self.free.push(id as u32);
             }
         }
+    }
+}
+
+/// The frontier engine as the rules see it: cause sources are clock
+/// snapshots, and the record being applied is the latest on `chain`.
+struct Online<'a> {
+    slots: &'a mut [Slot],
+    registry: &'a BTreeMap<(TaskId, ExecCtx), u32>,
+    queues: &'a BTreeMap<QueueKey, QueueInfo>,
+    event_queue: &'a mut BTreeMap<u64, QueueKey>,
+    chain: u32,
+    /// Sequence number of the chain's previous record.
+    prev_seq: Option<u64>,
+}
+
+impl Builder for Online<'_> {
+    type Src = Snap;
+
+    fn source(&mut self) -> Snap {
+        let s = &self.slots[self.chain as usize];
+        Snap {
+            id: (self.chain, s.pos),
+            clock: s.frontier.clone(),
+        }
+    }
+
+    fn join(&mut self, src: &Snap, _rule: EdgeRule) {
+        join_clock(&mut self.slots[self.chain as usize].frontier, &src.clock);
+    }
+
+    fn reaches(&self, (slot, pos): (u32, u32), b: &Snap) -> bool {
+        b.clock.get(slot as usize).copied().unwrap_or(0) >= pos
+    }
+
+    fn join_node(&mut self, node: NodeId) {
+        let ci = self.chain as usize;
+        for (&(t, _), &s) in self.registry {
+            if t.node == node && s != self.chain {
+                let f = std::mem::take(&mut self.slots[s as usize].frontier);
+                join_clock(&mut self.slots[ci].frontier, &f);
+                self.slots[s as usize].frontier = f;
+            }
+        }
+    }
+
+    fn first_in_group_after(&self, seq: u64) -> bool {
+        self.prev_seq.is_none_or(|p| p < seq)
+    }
+
+    fn serial_queue(&mut self, event: u64) -> Option<QueueKey> {
+        let queue = self.event_queue.remove(&event)?;
+        let single = self
+            .queues
+            .get(&queue)
+            .is_some_and(|q| q.is_single_consumer());
+        single.then_some(queue)
     }
 }
 

@@ -142,7 +142,7 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_bit_matrix_on_fork_join() {
+    fn agrees_with_hb_analysis_on_fork_join() {
         let parent = task(0);
         let child = task(1);
         let trace: TraceSet = vec![

@@ -209,6 +209,12 @@ echo "== reachability engine equivalence (chain clocks vs DFS closure) =="
 # DCATCH_SOAK=1 widens it from 48 to 192 random DAGs.
 cargo test --offline -q -p dcatch-hb --test proptests chain_clocks_agree_with_dfs_closure
 
+echo "== MTEP edge golden (one-pass builder vs parent edge sets) =="
+# also part of the suite above; named here so a rule drift fails by name.
+# tests/data/mtep_edges.golden holds the edge count and sorted-edge-list
+# fingerprint the whole-trace rule passes produced on every benchmark.
+cargo test --offline -q -p dcatch --test mtep_golden
+
 echo "== timeline smoke (generate + validate + byte determinism) =="
 # `dcatch timeline` validates the trace-event document before writing it;
 # generating twice and comparing pins the byte-determinism guarantee.

@@ -45,7 +45,6 @@ fn oom_is_a_reported_outcome_not_an_error() {
     // 1 KiB is below the chain-clock index's O(n·G) footprint
     opts.hb = HbConfig {
         memory_budget_bytes: 1024,
-        ..HbConfig::default()
     };
     let report = Pipeline::run(&bench, &opts).unwrap();
     assert!(report.oom.is_some());
